@@ -30,6 +30,7 @@ from .closed_forms import (
     diagram_count,
     dihedral_count,
     double_factorial,
+    fixed_matching_count,
     partial_pairing_count,
     reflection_type_wreath_count,
     rotation_fixed_count,
@@ -98,6 +99,7 @@ __all__ = [
     "euler_phi",
     "falling_factorial",
     "fixed_diagram_count",
+    "fixed_matching_count",
     "generate_group",
     "is_strict",
     "make_standard_group",

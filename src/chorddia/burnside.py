@@ -1,11 +1,16 @@
 """Orbit counting for diagrams under an arbitrary permutation group.
 
-A perfect matching of [0, 2n) can be written as an n x 2 matrix of point
-labels, determined up to permuting rows and swapping entries within rows,
-i.e. up to the group of pair permutations with flips (order 2^n * n!).
-Counting group orbits of matchings then reduces to a double sum over the
-cycle types of that group and of the acting group; the sum is evaluated
-class-by-class, never element-by-element.
+By Burnside's lemma the number of orbits is the average, over the group,
+of the number of matchings each element fixes. That number depends only
+on the element's cycle type (closed_forms.fixed_matching_count), so the
+average is a sum over cycle-type classes of the acting group.
+
+The wreath class sum is a second, independent derivation of the same
+count. A perfect matching of [0, 2n) can be written as an n x 2 matrix of
+point labels, determined up to permuting rows and swapping entries within
+rows, i.e. up to the group of pair permutations with flips (order
+2^n * n!). Counting orbits then reduces to a double sum over the cycle
+types of that group and of the acting group. Only verification uses it.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Mapping
 
+from .closed_forms import fixed_matching_count
 from .errors import DomainError, exact_div
 from .groups import CycleType, PermGroup, cycle_type_of, partitions
 
@@ -115,29 +121,42 @@ def _wreath_by_support(n: int) -> dict[frozenset[int], list[tuple[PartsKey, int]
     return index
 
 
+def _class_sizes(n: int, group: PermGroup, context: str) -> dict[CycleType, int]:
+    """Number of elements of the acting group with each cycle type."""
+    if n < 1:
+        raise DomainError(f"{context} requires n >= 1")
+    if group.size != 2 * n:
+        raise DomainError(f"group acts on {group.size} points, expected {2 * n}")
+    sizes: dict[CycleType, int] = {}
+    for g in group.elements:
+        ct = cycle_type_of(g)
+        sizes[ct] = sizes.get(ct, 0) + 1
+    return sizes
+
+
 def burnside_count(n: int, group: PermGroup) -> int:
-    """Number of group orbits of chord diagrams of order n.
+    """Number of group orbits of chord diagrams of order n: the sum over
+    cycle-type classes of class size times fixed matchings, divided by
+    the group order."""
+    sizes = _class_sizes(n, group, "burnside_count")
+    total = sum(size * fixed_matching_count(ct) for ct, size in sizes.items())
+    return exact_div(total, group.order, "burnside_count")
+
+
+def _wreath_class_sum(n: int, group: PermGroup) -> int:
+    """The orbit count of burnside_count, derived without
+    fixed_matching_count.
 
     Averages, over both groups, the number of matrix/point relabelling
     pairs that map a matching to itself; a pair contributes only when the
     two permutations have compatible cycle structure, which reduces the
-    average to a sum over cycle-type classes.
+    average to a sum over pairs of cycle-type classes.
     """
-    if n < 1:
-        raise DomainError("burnside_count requires n >= 1")
-    if group.size != 2 * n:
-        raise DomainError(f"group acts on {group.size} points, expected {2 * n}")
-
-    # class decomposition of the acting group
-    g_classes: dict[PartsKey, int] = {}
-    for g in group.elements:
-        key = cycle_type_of(g).parts
-        g_classes[key] = g_classes.get(key, 0) + 1
-
+    sizes = _class_sizes(n, group, "_wreath_class_sum")
     by_support = _wreath_by_support(n)
     total = 0
-    for g_parts, g_mult in g_classes.items():
-        eta = dict(g_parts)
+    for g_type, g_mult in sizes.items():
+        eta = dict(g_type.parts)
         support = sorted(eta)
         # wreath classes contribute only if their lengths occur in eta
         for r in range(len(support) + 1):
@@ -152,4 +171,4 @@ def burnside_count(n: int, group: PermGroup) -> int:
                         total += w_mult * g_mult * term
 
     denominator = 2**n * math.factorial(n) * group.order
-    return exact_div(total, denominator, "burnside_count")
+    return exact_div(total, denominator, "wreath class sum")

@@ -1,6 +1,10 @@
 """Closed-form counts of diagrams up to rotation and up to rotation plus
 reflection, with their asymptotic lower bounds.
 
+The number of matchings a permutation fixes depends only on its cycle
+type; fixed_matching_count evaluates it, and the closed forms and the
+Burnside class sum both call it.
+
 All results are exact integers; the intermediate divisions are asserted
 exact (see errors.ConsistencyError).
 """
@@ -12,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, exact_div
-from .groups import divisors, euler_phi
+from .groups import CycleType, divisors, euler_phi
 
 
 def double_factorial(m: int) -> int:
@@ -31,25 +35,40 @@ def diagram_count(n: int) -> int:
     return double_factorial(2 * n - 1)
 
 
-def rotation_fixed_count(n: int, i: int) -> int:
-    """Number of matchings on 2n points fixed by a rotation of order i.
+def fixed_matching_count(cycle_type: CycleType) -> int:
+    """Number of perfect matchings fixed by a permutation of this cycle type.
 
-    Odd i: the orbit of every chord consists of i disjoint chords, covering
-    two point-orbits; i^(n/i) * (2n/i - 1)!! matchings.
-    Even i: chords may also connect a point-orbit to itself, giving the
-    binomial sum over how many point-orbits pair up.
+    A fixed matching maps the chords at a cycle of length l onto chords at
+    cycles of the same length, so the count is a product over lengths with
+    m cycles each. Two l-cycles can be joined in l ways. An odd cycle can
+    only be joined to another one: [m even] * l^(m/2) * (m-1)!!. An even
+    cycle may also be matched to itself by its l/2 diameters; choosing
+    the 2k cycles that pair up gives sum_k C(m, 2k) * l^k * (2k-1)!!.
     """
+    total = 1
+    for length, mult in cycle_type.parts:
+        if length % 2:
+            if mult % 2:
+                return 0
+            total *= length ** (mult // 2) * double_factorial(mult - 1)
+        else:
+            factor, power, pairings = 0, 1, 1
+            for k in range(mult // 2 + 1):
+                factor += math.comb(mult, 2 * k) * power * pairings
+                power *= length
+                pairings *= 2 * k + 1
+            total *= factor
+    return total
+
+
+def rotation_fixed_count(n: int, i: int) -> int:
+    """Number of matchings on 2n points fixed by a rotation of order i,
+    whose cycle type is i^(2n/i)."""
     if n < 1:
         raise DomainError("rotation_fixed_count requires n >= 1")
     if i < 1 or (2 * n) % i:
         raise DomainError(f"{i} does not divide {2 * n}")
-    if i % 2:
-        return i ** (n // i) * double_factorial(2 * n // i - 1)
-    m = 2 * n // i
-    return sum(
-        math.comb(m, 2 * k) * i**k * double_factorial(2 * k - 1)
-        for k in range(n // i + 1)
-    )
+    return fixed_matching_count(CycleType(((i, 2 * n // i),)))
 
 
 def cyclic_count(n: int) -> int:
@@ -111,8 +130,10 @@ def dihedral_count(n: int) -> int:
     """Number of diagrams of order n up to rotation and reflection."""
     if n < 1:
         raise DomainError("dihedral_count requires n >= 1")
+    # n reflections fix no point (type 2^n), n fix two (type 1^2 2^(n-1))
     reflection_part = exact_div(
-        partial_pairing_count(n - 1) + partial_pairing_count(n),
+        fixed_matching_count(CycleType(((2, n),)))
+        + fixed_matching_count(CycleType.from_counts({1: 2, 2: n - 1})),
         2,
         "dihedral_count reflection term",
     )

@@ -50,6 +50,8 @@ def enumeration_cap() -> int:
         cap = int(raw)
     except ValueError:
         raise DomainError(f"{CAP_ENV_VAR} must be an integer, got {raw!r}")
+    if cap < 1:
+        raise DomainError(f"{CAP_ENV_VAR} must be at least 1, got {cap}")
     return min(cap, HARD_CAP)
 
 

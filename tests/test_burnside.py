@@ -2,11 +2,14 @@ import math
 from itertools import permutations, product
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from chorddia import (
     CycleType,
     DomainError,
     GroupElement,
+    ResourceLimitError,
     burnside_count,
     cycle_type_of,
     cyclic_count,
@@ -14,10 +17,19 @@ from chorddia import (
     dihedral_count,
     divisors,
     falling_factorial,
+    generate_group,
     make_standard_group,
+    orbit_count,
     wreath_cycle_type_distribution,
     wreath_uniform_count,
 )
+from chorddia.burnside import _wreath_class_sum
+
+STANDARD_FORMULAS = {
+    "identity": diagram_count,
+    "cyclic": cyclic_count,
+    "dihedral": dihedral_count,
+}
 
 
 def brute_wreath_distribution(n):
@@ -115,9 +127,46 @@ class TestBurnsideCount:
 
     def test_arbitrary_subgroup(self):
         # half-turn only: subgroup {id, r^3} of C_6
-        from chorddia import generate_group
-
         group = generate_group([GroupElement.rotation(6, 3)], 6)
         assert group.order == 2
         # Burnside: (15 + 7) / 2
         assert burnside_count(3, group) == 11
+
+    def test_reaches_large_orders(self):
+        # far beyond any 2^n n! wreath table
+        assert burnside_count(100, make_standard_group("dihedral", 200)) == dihedral_count(100)
+
+
+class TestWreathClassSum:
+    def test_matches_closed_forms(self):
+        for n in range(1, 21):
+            for kind, formula in STANDARD_FORMULAS.items():
+                assert _wreath_class_sum(n, make_standard_group(kind, 2 * n)) == formula(n)
+
+    def test_size_mismatch(self):
+        with pytest.raises(DomainError):
+            _wreath_class_sum(3, make_standard_group("cyclic", 8))
+
+
+@st.composite
+def small_groups(draw):
+    """A group closed from up to three random generators on 2, 4, 6 or 8
+    points; closures above 2000 elements (most of S_8) are rejected to keep
+    the oracle quick."""
+    points = draw(st.sampled_from((2, 4, 6, 8)))
+    images = draw(st.lists(st.permutations(range(points)), max_size=3))
+    try:
+        return generate_group(
+            [GroupElement.from_images(p) for p in images], points, max_elements=2000
+        )
+    except ResourceLimitError:
+        assume(False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_groups())
+def test_three_derivations_agree_on_random_groups(group):
+    n = group.size // 2
+    expected = orbit_count(n, group).orbit_count
+    assert burnside_count(n, group) == expected
+    assert _wreath_class_sum(n, group) == expected

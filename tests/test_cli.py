@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
+import chorddia
 from chorddia import ChordDiagram, make_standard_group, representatives
 from chorddia.cli import run
 from chorddia.svg import render_svg
@@ -70,6 +73,21 @@ class TestCount:
         path.write_text(json.dumps({"points": 6, "elements": [[1, 1, 2, 3, 4, 5]]}))
         assert run(["count", "--n", "3", "--group-file", str(path)]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"points": 6, "elements": [[True, 3, 2, 4, 5, 6]]},
+            {"points": True, "elements": [[1]]},
+        ],
+    )
+    def test_group_file_booleans_rejected(self, tmp_path, capsys, obj):
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps(obj))
+        assert run(["count", "--n", "3", "--group-file", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error" in captured.err
 
     def test_group_file_formula_rejected(self, tmp_path, capsys):
         path = tmp_path / "c6.json"
@@ -160,6 +178,29 @@ class TestVerify:
         assert "FAIL" not in out
         assert out.count("ok   ") >= 8
 
+    def test_wreath_class_sum_line(self, capsys):
+        assert run(["verify", "--n-max", "3", "--oracle-max", "1"]) == 0
+        err = capsys.readouterr().err
+        for kind in ("identity", "cyclic", "dihedral"):
+            assert f"ok   burnside == wreath class sum ({kind}, n <= 3)" in err
+
+    def test_wreath_class_sum_mismatch_fails(self, capsys, monkeypatch):
+        from chorddia import burnside
+
+        monkeypatch.setattr(burnside, "_wreath_class_sum", lambda n, group: 0)
+        assert run(["verify", "--n-max", "2", "--oracle-max", "1"]) == 1
+        captured = capsys.readouterr()
+        assert "FAIL burnside == wreath class sum (cyclic, n <= 2)" in captured.err
+        assert "3 failure(s)" in captured.out
+
+    @pytest.mark.parametrize("raw", ["0", "-3"])
+    def test_nonpositive_oracle_cap(self, capsys, monkeypatch, raw):
+        monkeypatch.setenv("CHORDDIA_ORACLE_CAP", raw)
+        assert run(["verify", "--n-max", "2"]) == 2
+        captured = capsys.readouterr()
+        assert "CHORDDIA_ORACLE_CAP" in captured.err
+        assert "all checks passed" not in captured.out
+
     def test_oracle_max_validation(self, capsys):
         assert run(["verify", "--n-max", "3", "--oracle-max", "5"]) == 2
         capsys.readouterr()
@@ -201,21 +242,25 @@ class TestRenderSvg:
         assert render_svg(d) == render_svg(d)
 
 
+def run_module(*args):
+    """python -m chorddia ARGS, importing the package these tests import."""
+    src = str(Path(chorddia.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "chorddia", *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+
+
 class TestProcessEntry:
     def test_module_invocation(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "chorddia", "count", "--group", "cyclic", "--n", "4"],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_module("count", "--group", "cyclic", "--n", "4")
         assert proc.returncode == 0
         assert proc.stdout == "18\n"
 
     def test_help_exits_zero(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "chorddia", "--help"],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_module("--help")
         assert proc.returncode == 0
         assert "count" in proc.stdout

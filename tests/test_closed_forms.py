@@ -4,14 +4,19 @@ from fractions import Fraction
 import pytest
 
 from chorddia import (
+    CycleType,
     DomainError,
     asymptotic_lower_bound,
+    cycle_type_of,
     cyclic_count,
     diagram_count,
     dihedral_count,
     divisors,
     double_factorial,
     euler_phi,
+    fixed_diagram_count,
+    fixed_matching_count,
+    make_standard_group,
     partial_pairing_count,
     reflection_type_wreath_count,
     rotation_fixed_count,
@@ -29,6 +34,22 @@ class TestDoubleFactorial:
 
     def test_diagram_count(self):
         assert [diagram_count(n) for n in range(1, 6)] == [1, 3, 15, 105, 945]
+
+
+class TestFixedMatchingCount:
+    @pytest.mark.parametrize(
+        "counts,expected",
+        [({1: 6}, 15), ({2: 3}, 7), ({3: 2}, 3), ({1: 2, 2: 2}, 3), ({1: 1, 3: 1}, 0)],
+    )
+    def test_examples(self, counts, expected):
+        assert fixed_matching_count(CycleType.from_counts(counts)) == expected
+
+    def test_matches_oracle_on_standard_groups(self):
+        for n in range(1, 6):
+            for kind in ("cyclic", "dihedral"):
+                for g in make_standard_group(kind, 2 * n):
+                    expected = fixed_diagram_count(n, g)
+                    assert fixed_matching_count(cycle_type_of(g)) == expected, (kind, g)
 
 
 class TestRotationFixedCount:
