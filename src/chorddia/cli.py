@@ -55,6 +55,8 @@ def load_group_file(path: str, points_expected: int | None = None) -> PermGroup:
         raise DomainError(
             f"group file acts on {points} points but n requires {points_expected}"
         )
+    if not isinstance(obj["elements"], list):
+        raise DomainError("group file 'elements' must be a list of image lists")
     elements = []
     for row in obj["elements"]:
         if (
@@ -205,6 +207,9 @@ def _cmd_verify(args) -> int:
         oracle_max = min(n_max, 6)
     else:
         oracle_max = args.oracle_max
+        if oracle_max < 1:
+            # below 1 every oracle check would pass without testing anything
+            raise DomainError(f"--oracle-max must be at least 1, got {oracle_max}")
         if oracle_max > n_max:
             raise DomainError("--oracle-max cannot exceed --n-max")
         if oracle_max > cap:

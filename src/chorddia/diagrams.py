@@ -9,7 +9,7 @@ order of the points.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .errors import DomainError
 from .groups import GroupElement, PermGroup
@@ -111,6 +111,73 @@ def canonical_form(diagram: ChordDiagram, group: PermGroup) -> ChordDiagram:
     return ChordDiagram(best)
 
 
+def _walk(
+    size: int, first: int | None, place: Callable | None, state
+) -> Iterator[tuple[list[int], object]]:
+    """Depth-first walk over the perfect matchings of [0, size), carrying
+    state from each partial matching down to its extensions.
+
+    Yields (partner, state) at each complete matching, in the order of
+    matchings(). After chord (v, w) is written into partner (v is the
+    smallest unmatched point, w > v), place(partner, v, w, state) returns
+    the state of that subtree, or None to skip the subtree. The chord
+    (0, first) is placed the same way when first is given. place=None
+    keeps state unchanged and skips nothing. Chords are placed in
+    ascending order of their smaller endpoint, so when (v, w) is placed
+    every point below v is matched.
+    """
+    if size % 2:
+        raise DomainError("matchings need an even number of points")
+    partner = [-1] * size
+    if first is not None:
+        if not 1 <= first < size:
+            raise DomainError("first_partner must be in [1, size)")
+        partner[0] = first
+        partner[first] = 0
+        if place is not None:
+            state = place(partner, 0, first, state)
+            if state is None:
+                return
+    v = 0
+    while v < size and partner[v] >= 0:
+        v += 1
+    if v >= size:
+        yield partner, state
+        return
+    # the open levels above the current one: their point, partner, state
+    stack: list[tuple[int, int, object]] = []
+    w = v
+    while True:
+        w += 1
+        while w < size and partner[w] >= 0:
+            w += 1
+        if w == size:
+            # every partner of v tried: close this level
+            partner[v] = -1
+            if not stack:
+                return
+            v, w, state = stack.pop()
+            partner[w] = -1
+            continue
+        partner[v] = w
+        partner[w] = v
+        child = state
+        if place is not None:
+            child = place(partner, v, w, state)
+            if child is None:
+                partner[w] = -1
+                continue
+        u = v + 1
+        while u < size and partner[u] >= 0:
+            u += 1
+        if u == size:
+            yield partner, child
+            partner[w] = -1
+            continue
+        stack.append((v, w, state))
+        v, w, state = u, u, child
+
+
 def matchings(size: int, first_partner: int | None = None) -> Iterator[list[int]]:
     """Stream every perfect matching of [0, size) as a partner array.
 
@@ -123,33 +190,7 @@ def matchings(size: int, first_partner: int | None = None) -> Iterator[list[int]
     partner[0] == first_partner; the size-1 possible prefixes partition the
     full stream into independent sub-streams.
     """
-    if size % 2:
-        raise DomainError("matchings need an even number of points")
-    partner = [-1] * size
-    if first_partner is not None:
-        if not 1 <= first_partner < size:
-            raise DomainError("first_partner must be in [1, size)")
-        partner[0] = first_partner
-        partner[first_partner] = 0
-
-    def rec(lo: int) -> Iterator[list[int]]:
-        v = lo
-        while v < size and partner[v] >= 0:
-            v += 1
-        if v == size:
-            yield partner
-            return
-        for w in range(v + 1, size):
-            if partner[w] < 0:
-                partner[v] = w
-                partner[w] = v
-                yield from rec(v + 1)
-                partner[w] = -1
-        partner[v] = -1
-
-    if size:
-        yield from rec(0)
-    else:
+    for partner, _ in _walk(size, first_partner, None, None):
         yield partner
 
 

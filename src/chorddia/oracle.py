@@ -1,17 +1,32 @@
-"""Brute-force ground truth over all (2n-1)!! matchings.
+"""Brute-force ground truth over the perfect matchings of 2n points.
 
-Everything here streams the full enumeration; nothing is derived from the
-counting formulas, so agreement between the two is a real check. The
-stream always uses the same order as diagrams.all_diagrams and can be
-split into the 2n-1 independent branches fixed by the partner of point 0;
-branch results merge by plain addition, so multi-process runs are
-deterministic.
+Nothing here is derived from the counting formulas, so agreement between
+the two is a real check. Every path runs one walker, diagrams._walk, which
+builds each matching chord by chord in the order of diagrams.all_diagrams
+(chord (v, w) is placed when v is the smallest unmatched point) and lets a
+hook carry state down the walk or skip a subtree. A subtree is skipped
+only when no matching below it can pass the path's test, so the results
+equal those of testing every one of the (2n-1)!! matchings:
 
-Orbit counting works by the canonical-predicate trick: a diagram is
-counted iff it is the lexicographic minimum of its own orbit, which needs
-no global dedup set. The per-diagram test bails out at the first position
-where some group image is smaller, so the common case touches only a few
-array entries.
+- orbits: a diagram is counted iff it is the lexicographic minimum of its
+  orbit (no global dedup set). For each non-identity g the hook compares
+  the image g.p with p position by position, as far as the placed chords
+  determine both. Once g.p is larger at some position, no completion can
+  make g.p smaller, so g is dropped; once g.p is smaller, no completion
+  is a minimum, so the subtree is skipped. At a complete matching the
+  elements still compared equal at every position are exactly the
+  non-identity stabilizer.
+- crossings: when chord (v, w) is placed, the matched points inside
+  (v, w) all have partners below v, so each is one crossing with
+  (v, w); every crossing is counted once, when its later chord is placed.
+- strict: a chord (v, v+1) or (0, 2n-1) is never placed.
+- fixed count: a chord (v, w) is skipped when g maps it, or maps a placed
+  chord onto one of its points, inconsistently with what is placed;
+  every matching reached is then fixed by g.
+
+The walk can be split into the 2n-1 independent branches fixed by the
+partner of point 0; branch results merge by plain addition, so
+multi-process runs are deterministic.
 """
 
 from __future__ import annotations
@@ -21,7 +36,7 @@ import os
 from dataclasses import dataclass
 
 from .classic import CrossingPolynomial
-from .diagrams import ChordDiagram, matchings
+from .diagrams import ChordDiagram, _walk
 from .errors import DomainError, ResourceLimitError
 from .groups import GroupElement, PermGroup
 
@@ -74,42 +89,54 @@ def _element_arrays(group: PermGroup) -> list[_ElementArrays]:
     return out
 
 
-def _is_canonical(partner: list[int], elems: list[_ElementArrays], size: int) -> bool:
-    for img, inv in elems:
-        v = 0
-        while v < size:
-            a = partner[v]
-            b = img[partner[inv[v]]]
-            if b != a:
-                break
-            v += 1
-        else:
+def _orderly_place(partner, v, w, tied):
+    """Walker hook of the orbit paths: advance the comparison of g.p with
+    p for each element still tied, dropping those whose image is larger
+    and skipping the subtree once one is smaller.
+
+    tied holds (images, inverse, r) with g.p and p equal below position r;
+    the comparison waits at r until p[r] and p[inverse[r]] are placed.
+    """
+    size = len(partner)
+    kept = []
+    for elem in tied:
+        img, inv, r = elem
+        if r != v and r != w and inv[r] != v and inv[r] != w:
+            kept.append(elem)  # neither entry that r waits for was placed
             continue
-        if b < a:
-            return False
-    return True
-
-
-def _stabilizer_order(partner: list[int], elems: list[_ElementArrays], size: int) -> int:
-    order = 1  # identity
-    for img, inv in elems:
-        for v in range(size):
-            if partner[v] != img[partner[inv[v]]]:
+        while r < size:
+            a = partner[r]
+            x = partner[inv[r]]
+            if a < 0 or x < 0:
+                kept.append((img, inv, r))
                 break
+            b = img[x]
+            if b != a:
+                if b < a:
+                    return None
+                break
+            r += 1
         else:
-            order += 1
-    return order
+            kept.append((img, inv, r))
+    return kept
+
+
+def _orderly_walk(size: int, first: int | None, elems: list[_ElementArrays]):
+    """(partner, non-identity stabilizer) for each orbit minimum, ascending."""
+    if not elems:
+        # the trivial group: every matching is a minimum, so walk hook-free
+        return _walk(size, first, None, ())
+    return _walk(size, first, _orderly_place, [(img, inv, 0) for img, inv in elems])
 
 
 def _orbit_branch(args) -> tuple[int, dict[int, int]]:
     size, first, elems, group_order = args
     count = 0
     histogram: dict[int, int] = {}
-    for partner in matchings(size, first):
-        if _is_canonical(partner, elems, size):
-            count += 1
-            orbit_size = group_order // _stabilizer_order(partner, elems, size)
-            histogram[orbit_size] = histogram.get(orbit_size, 0) + 1
+    for _, stabilizer in _orderly_walk(size, first, elems):
+        count += 1
+        orbit_size = group_order // (1 + len(stabilizer))
+        histogram[orbit_size] = histogram.get(orbit_size, 0) + 1
     return count, histogram
 
 
@@ -125,7 +152,8 @@ def _map_branches(worker, tasks, threads: int):
     if threads == 1 or len(tasks) <= 1:
         return [worker(t) for t in tasks]
     with multiprocessing.Pool(min(threads, len(tasks))) as pool:
-        return pool.map(worker, tasks)
+        # pruning makes branches unequal, so hand them out one at a time
+        return pool.map(worker, tasks, chunksize=1)
 
 
 def orbit_count(n: int, group: PermGroup, threads: int | None = None) -> OrbitSummary:
@@ -160,14 +188,20 @@ def fixed_diagram_count(n: int, g: GroupElement) -> int:
         raise DomainError(f"element acts on {g.size} points, expected {size}")
     img = g.images
     inv = g.inverse().images
-    count = 0
-    for partner in matchings(size):
-        for v in range(size):
-            if partner[v] != img[partner[inv[v]]]:
-                break
-        else:
-            count += 1
-    return count
+
+    def place(partner, v, w, state):
+        # g maps chord (e, partner[e]) onto (img[e], img[partner[e]]) and
+        # the chord at inv[e] onto one at e; each must agree where placed
+        for e in (v, w):
+            x = partner[img[e]]
+            if x >= 0 and x != img[partner[e]]:
+                return None
+            y = partner[inv[e]]
+            if y >= 0 and img[y] != partner[e]:
+                return None
+        return state
+
+    return sum(1 for _ in _walk(size, None, place, True))
 
 
 def representatives(n: int, group: PermGroup) -> list[ChordDiagram]:
@@ -176,29 +210,24 @@ def representatives(n: int, group: PermGroup) -> list[ChordDiagram]:
     size = 2 * n
     if group.size != size:
         raise DomainError(f"group acts on {group.size} points, expected {size}")
-    elems = _element_arrays(group)
-    reps = [
+    # the walk ascends lexicographically, so the list comes out sorted
+    return [
         ChordDiagram(tuple(partner))
-        for partner in matchings(size)
-        if _is_canonical(partner, elems, size)
+        for partner, _ in _orderly_walk(size, None, _element_arrays(group))
     ]
-    reps.sort(key=lambda d: d.partner)
-    return reps
+
+
+def _crossing_place(partner, v, w, crossings):
+    # every matched point strictly inside (v, w) has its partner below v
+    inside = partner[v + 1:w]
+    return crossings + len(inside) - inside.count(-1)
 
 
 def _crossing_branch(args) -> list[int]:
     size, first = args
     n = size // 2
     counts = [0] * (n * (n - 1) // 2 + 1)
-    for partner in matchings(size, first):
-        crossings = 0
-        for a in range(size):
-            b = partner[a]
-            if b < a:
-                continue
-            for c in range(a + 1, b):
-                if b < partner[c]:
-                    crossings += 1
+    for _, crossings in _walk(size, first, _crossing_place, 0):
         counts[crossings] += 1
     return counts
 
@@ -218,11 +247,10 @@ def strict_count(n: int) -> int:
     """Number of diagrams with no chord joining circle-adjacent points."""
     _check_n(n)
     size = 2 * n
-    count = 0
-    for partner in matchings(size):
-        for v in range(size):
-            if partner[v] == (v + 1) % size:
-                break
-        else:
-            count += 1
-    return count
+
+    def place(partner, v, w, state):
+        if w == v + 1 or (v == 0 and w == size - 1):
+            return None
+        return state
+
+    return sum(1 for _ in _walk(size, None, place, True))

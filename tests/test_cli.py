@@ -89,6 +89,15 @@ class TestCount:
         assert captured.out == ""
         assert "error" in captured.err
 
+    @pytest.mark.parametrize("elements", [5, {"1": [2, 3, 4, 5, 6, 1]}])
+    def test_group_file_elements_not_a_list(self, tmp_path, capsys, elements):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"points": 6, "elements": elements}))
+        assert run(["count", "--n", "3", "--group-file", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "'elements' must be a list" in captured.err
+
     def test_group_file_formula_rejected(self, tmp_path, capsys):
         path = tmp_path / "c6.json"
         path.write_text(json.dumps({"points": 6, "elements": [[2, 3, 4, 5, 6, 1]]}))
@@ -200,6 +209,13 @@ class TestVerify:
         captured = capsys.readouterr()
         assert "CHORDDIA_ORACLE_CAP" in captured.err
         assert "all checks passed" not in captured.out
+
+    @pytest.mark.parametrize("raw", ["0", "-1"])
+    def test_nonpositive_oracle_max(self, capsys, raw):
+        assert run(["verify", "--n-max", "3", "--oracle-max", raw]) == 2
+        captured = capsys.readouterr()
+        assert "--oracle-max" in captured.err
+        assert captured.out == ""
 
     def test_oracle_max_validation(self, capsys):
         assert run(["verify", "--n-max", "3", "--oracle-max", "5"]) == 2

@@ -1,0 +1,132 @@
+"""The pruning oracle against brute force that never uses a walker hook.
+
+Every reference here walks all (2n-1)!! diagrams with all_diagrams and
+tests each one with the diagram-level functions (apply_symmetry,
+canonical_form, crossings, is_strict), so a prune that drops a wanted
+matching, or keeps an unwanted one, shows as a mismatch.
+"""
+
+from collections import Counter
+
+import pytest
+from hypothesis import given, settings
+
+from chorddia import (
+    DomainError,
+    all_diagrams,
+    apply_symmetry,
+    canonical_form,
+    crossing_distribution,
+    crossings,
+    fixed_diagram_count,
+    is_strict,
+    make_standard_group,
+    orbit_count,
+    representatives,
+    strict_count,
+)
+from chorddia.diagrams import _walk, matchings
+from test_burnside import small_groups
+
+
+def brute_representatives(n, group):
+    return sorted({canonical_form(d, group).partner for d in all_diagrams(n)})
+
+
+def brute_orbit_histogram(n, group):
+    """Orbit sizes by closing each orbit with apply_symmetry."""
+    seen = set()
+    sizes = Counter()
+    for d in all_diagrams(n):
+        if d.partner in seen:
+            continue
+        orbit = {apply_symmetry(g, d).partner for g in group}
+        seen |= orbit
+        sizes[len(orbit)] += 1
+    return dict(sorted(sizes.items()))
+
+
+def brute_fixed_count(n, g):
+    return sum(1 for d in all_diagrams(n) if apply_symmetry(g, d) == d)
+
+
+def check_group(n, group):
+    assert [d.partner for d in representatives(n, group)] == brute_representatives(n, group)
+    summary = orbit_count(n, group)
+    assert summary.orbit_size_histogram == brute_orbit_histogram(n, group)
+    assert summary.orbit_count == sum(summary.orbit_size_histogram.values())
+    for g in group:
+        assert fixed_diagram_count(n, g) == brute_fixed_count(n, g)
+
+
+class TestWalk:
+    def test_no_hook_is_matchings(self):
+        for size in (0, 2, 4, 6, 8):
+            walked = [list(p) for p, state in _walk(size, None, None, "s")]
+            assert walked == [list(p) for p in matchings(size)]
+
+    def test_hook_sees_every_chord_in_order(self):
+        # the state is the tuple of chords placed so far
+        def place(partner, v, w, chords):
+            assert partner[v] == w and partner[w] == v
+            assert all(partner[u] >= 0 for u in range(v))
+            return chords + ((v, w),)
+
+        for partner, chords in _walk(8, None, place, ()):
+            assert list(chords) == [(v, w) for v, w in enumerate(partner) if v < w]
+
+    def test_pruned_subtrees_are_skipped(self):
+        def place(partner, v, w, state):
+            return None if w - v == 3 else state
+
+        walked = [tuple(p) for p, _ in _walk(8, None, place, 0)]
+        expected = [
+            tuple(p) for p in matchings(8) if all(abs(v - w) != 3 for v, w in enumerate(p))
+        ]
+        assert walked == expected
+
+    def test_first_chord_goes_through_the_hook(self):
+        assert list(_walk(6, 2, lambda partner, v, w, s: None, 0)) == []
+        branch = [tuple(p) for p, _ in _walk(6, 2, lambda partner, v, w, s: s, 0)]
+        assert branch == [tuple(p) for p in matchings(6, 2)]
+
+    @pytest.mark.parametrize("size,first", [(5, None), (6, 0), (6, 6)])
+    def test_matchings_errors(self, size, first):
+        with pytest.raises(DomainError):
+            list(matchings(size, first))
+
+
+class TestStandardGroups:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("kind", ["identity", "cyclic", "dihedral"])
+    def test_against_brute_force(self, kind, n):
+        check_group(n, make_standard_group(kind, 2 * n))
+
+
+class TestCrossingsAndStrict:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_crossing_histogram(self, n):
+        histogram = Counter(crossings(d) for d in all_diagrams(n))
+        expected = tuple(histogram.get(k, 0) for k in range(n * (n - 1) // 2 + 1))
+        assert crossing_distribution(n).coefficients == expected
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_strict_count(self, n):
+        assert strict_count(n) == sum(1 for d in all_diagrams(n) if is_strict(d))
+
+
+class TestThreads:
+    # pruning makes the branches unequal; dihedral orbits at n = 6 are in
+    # test_oracle.py
+    def test_cyclic_orbits(self):
+        group = make_standard_group("cyclic", 12)
+        assert orbit_count(6, group, threads=2) == orbit_count(6, group, threads=1)
+
+    def test_crossings(self):
+        assert crossing_distribution(6, threads=2) == crossing_distribution(6, threads=1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_groups())
+def test_random_groups_against_brute_force(group):
+    check_group(group.size // 2, group)
