@@ -59,8 +59,10 @@ def load_group_file(path: str, points_expected: int | None = None) -> PermGroup:
         raise DomainError("group file 'elements' must be a list of image lists")
     elements = []
     for row in obj["elements"]:
+        # the length check comes first: the range below has `points` entries
         if (
             not isinstance(row, list)
+            or len(row) != points
             or not all(_is_int(x) for x in row)
             or sorted(row) != list(range(1, points + 1))
         ):

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import DomainError, ResourceLimitError
@@ -15,6 +17,10 @@ from .errors import DomainError, ResourceLimitError
 STANDARD_GROUP_KINDS = ("identity", "cyclic", "dihedral")
 
 DEFAULT_CLOSURE_CAP = 10**6
+
+# A closure stores one image tuple of `points` entries per element; past
+# this many entries in all (about 80 MB of tuple slots) it stops.
+MAX_CLOSURE_ENTRIES = 10**7
 
 
 @dataclass(frozen=True)
@@ -192,16 +198,23 @@ def cycle_type_of(g: GroupElement) -> CycleType:
     images = g.images
     seen = [False] * len(images)
     lengths = []
-    for start in range(len(images)):
+    for start, v in enumerate(images):
         if seen[start]:
             continue
-        length = 0
-        v = start
-        while not seen[v]:
+        length = 1
+        while v != start:
             seen[v] = True
             v = images[v]
             length += 1
         lengths.append(length)
+    lengths.sort()
+    return _cycle_type_of_lengths(tuple(lengths))
+
+
+@lru_cache(maxsize=4096)
+def _cycle_type_of_lengths(lengths: tuple[int, ...]) -> CycleType:
+    """One validated CycleType per sorted length tuple; a group has few
+    distinct types, so the cache spares validating one per element."""
     return CycleType.from_lengths(lengths)
 
 
@@ -244,19 +257,36 @@ def generate_group(
             raise DomainError(
                 f"generator size {g.size} does not match points={points}"
             )
-    identity = GroupElement.identity(points)
-    known = {identity.images: identity}
+    if points > MAX_CLOSURE_ENTRIES:
+        raise ResourceLimitError(_entries_message(points))
+    if points < 2:
+        # the identity is the only permutation of 0 or 1 points (and
+        # itemgetter with one index returns a bare int, not a tuple)
+        return PermGroup(points, (GroupElement.identity(points),))
+    limit = min(max_elements, MAX_CLOSURE_ENTRIES // points)
+    # current * g picks current's entries at g's images
+    steps = [itemgetter(*g.images) for g in generators]
+    identity = tuple(range(points))
+    seen = {identity}
     frontier = [identity]
-    gens = list(generators)
     while frontier:
         current = frontier.pop()
-        for g in gens:
-            nxt = current.compose(g)
-            if nxt.images not in known:
-                known[nxt.images] = nxt
-                if len(known) > max_elements:
-                    raise ResourceLimitError(
-                        f"group closure exceeded {max_elements} elements"
-                    )
+        for step in steps:
+            nxt = step(current)
+            if nxt not in seen:
+                seen.add(nxt)
+                if len(seen) > limit:
+                    if len(seen) > max_elements:
+                        raise ResourceLimitError(
+                            f"group closure exceeded {max_elements} elements"
+                        )
+                    raise ResourceLimitError(_entries_message(points))
                 frontier.append(nxt)
-    return _sorted_group(points, known.values())
+    return PermGroup(points, tuple(GroupElement(images) for images in sorted(seen)))
+
+
+def _entries_message(points: int) -> str:
+    return (
+        f"group closure on {points} points exceeded {MAX_CLOSURE_ENTRIES}"
+        " stored image entries"
+    )

@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -97,6 +98,42 @@ class TestCount:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "'elements' must be a list" in captured.err
+
+    def test_group_file_closure_entry_bound(self, tmp_path, capsys, monkeypatch):
+        from chorddia import groups
+
+        # S_4 on points 1..4 of 8 stores 24 tuples of 8 entries: 192 entries
+        path = tmp_path / "s4.json"
+        swap = [2, 1, 3, 4, 5, 6, 7, 8]
+        cycle = [2, 3, 4, 1, 5, 6, 7, 8]
+        path.write_text(json.dumps({"points": 8, "elements": [swap, cycle]}))
+        monkeypatch.setattr(groups, "MAX_CLOSURE_ENTRIES", 191)
+        assert run(["count", "--n", "4", "--group-file", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "191 stored image entries" in captured.err
+
+    @pytest.mark.parametrize(
+        "elements,code,message",
+        [
+            # the row's length is checked before a 2 * 10^8 range is built
+            ([[1]], 2, "is not a 1-based bijection"),
+            # the identity alone would pass the closure's entry bound
+            ([], 3, "stored image entries"),
+        ],
+        ids=["short-row", "no-elements"],
+    )
+    def test_group_file_huge_points(self, tmp_path, elements, code, message):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"points": 200000000, "elements": elements}))
+        proc = run_module(
+            "count", "--n", "100000000", "--group-file", str(path),
+            address_space=600 * 2**20,
+        )
+        assert proc.returncode == code
+        assert proc.stdout == ""
+        assert message in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_group_file_formula_rejected(self, tmp_path, capsys):
         path = tmp_path / "c6.json"
@@ -258,15 +295,21 @@ class TestRenderSvg:
         assert render_svg(d) == render_svg(d)
 
 
-def run_module(*args):
-    """python -m chorddia ARGS, importing the package these tests import."""
+def run_module(*args, address_space=None):
+    """python -m chorddia ARGS, importing the package these tests import;
+    address_space caps the child's virtual memory in bytes."""
     src = str(Path(chorddia.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
     return subprocess.run(
         [sys.executable, "-m", "chorddia", *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
+        preexec_fn=limit_memory if address_space else None,
     )
 
 

@@ -1,6 +1,9 @@
+import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chorddia import (
     ChordDiagram,
@@ -15,6 +18,7 @@ from chorddia import (
     make_standard_group,
 )
 from chorddia.diagrams import matchings
+from test_burnside import small_groups
 
 
 def diagram(*chords_1b):
@@ -222,3 +226,42 @@ class TestIsStrict:
     )
     def test_examples(self, chords, expected):
         assert is_strict(diagram(*chords)) is expected
+
+
+def diagrams_on(points):
+    """Random chord diagrams on the given even number of points: a shuffled
+    point list paired off two by two."""
+    return st.permutations(range(points)).map(
+        lambda order: ChordDiagram.from_chords(list(zip(order[::2], order[1::2])))
+    )
+
+
+diagrams_up_to_5 = st.integers(1, 5).flatmap(lambda n: diagrams_on(2 * n))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_apply_symmetry_is_a_homomorphism(data):
+    d = data.draw(diagrams_up_to_5)
+    g, h = (
+        GroupElement.from_images(data.draw(st.permutations(range(d.size))))
+        for _ in range(2)
+    )
+    assert apply_symmetry(g * h, d) == apply_symmetry(g, apply_symmetry(h, d))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_groups(), st.data())
+def test_canonical_form_is_constant_on_orbits(group, data):
+    d = data.draw(diagrams_on(group.size))
+    g = data.draw(st.sampled_from(group.elements))
+    canon = canonical_form(d, group)
+    assert canonical_form(apply_symmetry(g, d), group) == canon
+    assert canon.partner <= d.partner
+
+
+@settings(max_examples=100, deadline=None)
+@given(diagrams_up_to_5)
+def test_json_round_trip_random(d):
+    obj = json.loads(json.dumps(d.to_json_dict()))
+    assert ChordDiagram.from_json_dict(obj) == d

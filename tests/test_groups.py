@@ -1,7 +1,10 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from chorddia import groups
 from chorddia import (
     CycleType,
     DomainError,
@@ -239,3 +242,122 @@ class TestGenerateGroup:
         with pytest.raises(ResourceLimitError):
             generate_group(gens, 4, max_elements=10)
         assert generate_group(gens, 4).order == 24
+
+    @pytest.mark.parametrize("points", [0, 1, 2])
+    def test_no_generators_on_few_points(self, points):
+        group = generate_group([], points)
+        assert group.size == points
+        assert group.elements == (GroupElement.identity(points),)
+
+    def test_single_point(self):
+        group = generate_group([GroupElement.identity(1)], 1)
+        assert group.order == 1
+        assert group.elements[0].images == (0,)
+
+    def test_two_points(self):
+        swap = GroupElement.from_images([1, 0])
+        got = generate_group([swap], 2)
+        assert got.elements == (GroupElement.identity(2), swap)
+        assert got == make_standard_group("cyclic", 2)
+
+    def test_entry_bound(self, monkeypatch):
+        # S_4 stores 24 image tuples of 4 entries: 96 entries
+        gens = [
+            GroupElement.from_images([1, 0, 2, 3]),
+            GroupElement.from_images([1, 2, 3, 0]),
+        ]
+        monkeypatch.setattr(groups, "MAX_CLOSURE_ENTRIES", 96)
+        assert generate_group(gens, 4).order == 24
+        monkeypatch.setattr(groups, "MAX_CLOSURE_ENTRIES", 95)
+        with pytest.raises(ResourceLimitError, match="95 stored image entries"):
+            generate_group(gens, 4)
+        # the element cap keeps its own message when it is the tighter bound
+        with pytest.raises(ResourceLimitError, match="exceeded 10 elements"):
+            generate_group(gens, 4, max_elements=10)
+
+    def test_entry_bound_before_the_identity(self):
+        # a single identity tuple would already pass the bound: nothing is built
+        points = groups.MAX_CLOSURE_ENTRIES + 2
+        with pytest.raises(ResourceLimitError, match="stored image entries"):
+            generate_group([], points)
+
+
+def reference_closure(gens, points, cap):
+    """Elements of the closure sorted by images, composing with
+    GroupElement.compose; None once more than cap elements are found."""
+    identity = GroupElement.identity(points)
+    known = {identity}
+    frontier = [identity]
+    while frontier:
+        current = frontier.pop()
+        for g in gens:
+            nxt = current.compose(g)
+            if nxt not in known:
+                known.add(nxt)
+                if len(known) > cap:
+                    return None
+                frontier.append(nxt)
+    return sorted(known, key=lambda g: g.images)
+
+
+def reference_cycle_parts(g):
+    """(length, multiplicity) pairs from each point's orbit length: a cycle
+    of length l holds l points whose orbit length is l."""
+    points_by_length = {}
+    for v in range(g.size):
+        length, w = 1, g(v)
+        while w != v:
+            length, w = length + 1, g(w)
+        points_by_length[length] = points_by_length.get(length, 0) + 1
+    return tuple(sorted((l, count // l) for l, count in points_by_length.items()))
+
+
+permutations_up_to_8 = st.integers(1, 8).flatmap(
+    lambda points: st.permutations(range(points))
+)
+
+
+@st.composite
+def generator_sets(draw):
+    points = draw(st.integers(1, 8))
+    images = draw(st.lists(st.permutations(range(points)), max_size=3))
+    return points, [GroupElement.from_images(p) for p in images]
+
+
+@settings(max_examples=80, deadline=None)
+@given(generator_sets())
+def test_closure_matches_compose_reference(case):
+    points, gens = case
+    cap = 2000
+    expected = reference_closure(gens, points, cap)
+    if expected is None:
+        with pytest.raises(ResourceLimitError):
+            generate_group(gens, points, max_elements=cap)
+    else:
+        group = generate_group(gens, points, max_elements=cap)
+        assert group.size == points
+        assert list(group.elements) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(permutations_up_to_8)
+def test_cycle_type_matches_orbit_lengths(images):
+    g = GroupElement.from_images(images)
+    got = cycle_type_of(g)
+    assert got.parts == reference_cycle_parts(g)
+    # equal to an independently built, validated CycleType
+    assert got == CycleType(reference_cycle_parts(g))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_repeated_cycle_types_are_equal(data):
+    images = data.draw(permutations_up_to_8)
+    g = GroupElement.from_images(images)
+    relabel = GroupElement.from_images(data.draw(st.permutations(range(g.size))))
+    # a conjugate has the same cycle type
+    conjugate = relabel * g * relabel.inverse()
+    first, second = cycle_type_of(g), cycle_type_of(conjugate)
+    fresh = CycleType(reference_cycle_parts(g))
+    assert first == second == fresh
+    assert hash(first) == hash(second) == hash(fresh)
