@@ -10,108 +10,103 @@ classical whole-set counts (noncrossing diagrams, the crossing-number
 distribution, strict diagrams) are included as well.
 """
 
-from .burnside import (
-    WreathTypeDistribution,
-    burnside_count,
-    falling_factorial,
-    wreath_cycle_type_distribution,
-)
-from .classic import (
-    CrossingPolynomial,
-    StrictSequences,
-    catalan_noncrossing,
-    crossing_polynomial,
-    strict_sequences,
-)
-from .closed_forms import (
-    AsymptoticBound,
-    asymptotic_lower_bound,
-    cyclic_count,
-    diagram_count,
-    dihedral_count,
-    double_factorial,
-    fixed_matching_count,
-    partial_pairing_count,
-    reflection_type_wreath_count,
-    rotation_fixed_count,
-    wreath_uniform_count,
-)
-from .diagrams import (
-    ChordDiagram,
-    all_diagrams,
-    apply_symmetry,
-    canonical_form,
-    crossings,
-    is_strict,
-)
-from .errors import ConsistencyError, DomainError, ResourceLimitError
-from .groups import (
-    CycleType,
-    GroupElement,
-    PermGroup,
-    cycle_type_of,
-    divisors,
-    euler_phi,
-    generate_group,
-    make_standard_group,
-    partitions,
-)
-from .oracle import (
-    OrbitSummary,
-    crossing_distribution,
-    fixed_diagram_count,
-    orbit_count,
-    representatives,
-    strict_count,
-)
-from .svg import render_svg
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AsymptoticBound",
-    "ChordDiagram",
-    "ConsistencyError",
-    "CrossingPolynomial",
-    "CycleType",
-    "DomainError",
-    "GroupElement",
-    "OrbitSummary",
-    "PermGroup",
-    "ResourceLimitError",
-    "StrictSequences",
-    "WreathTypeDistribution",
-    "all_diagrams",
-    "apply_symmetry",
-    "asymptotic_lower_bound",
-    "burnside_count",
-    "canonical_form",
-    "catalan_noncrossing",
-    "crossing_distribution",
-    "crossing_polynomial",
-    "crossings",
-    "cycle_type_of",
-    "cyclic_count",
-    "diagram_count",
-    "dihedral_count",
-    "divisors",
-    "double_factorial",
-    "euler_phi",
-    "falling_factorial",
-    "fixed_diagram_count",
-    "fixed_matching_count",
-    "generate_group",
-    "is_strict",
-    "make_standard_group",
-    "orbit_count",
-    "partial_pairing_count",
-    "partitions",
-    "reflection_type_wreath_count",
-    "render_svg",
-    "representatives",
-    "rotation_fixed_count",
-    "strict_count",
-    "strict_sequences",
-    "wreath_cycle_type_distribution",
-    "wreath_uniform_count",
-]
+# Public name -> the submodule that defines it. A submodule is imported on
+# first access (PEP 562), so each command loads only the modules it uses.
+_EXPORTS = {
+    **dict.fromkeys(
+        (
+            "WreathTypeDistribution",
+            "burnside_count",
+            "falling_factorial",
+            "wreath_cycle_type_distribution",
+        ),
+        "burnside",
+    ),
+    **dict.fromkeys(
+        (
+            "CrossingPolynomial",
+            "StrictSequences",
+            "catalan_noncrossing",
+            "crossing_polynomial",
+            "strict_sequences",
+        ),
+        "classic",
+    ),
+    **dict.fromkeys(
+        (
+            "AsymptoticBound",
+            "asymptotic_lower_bound",
+            "cyclic_count",
+            "diagram_count",
+            "dihedral_count",
+            "double_factorial",
+            "fixed_matching_count",
+            "partial_pairing_count",
+            "reflection_type_wreath_count",
+            "rotation_fixed_count",
+            "wreath_uniform_count",
+        ),
+        "closed_forms",
+    ),
+    **dict.fromkeys(
+        (
+            "ChordDiagram",
+            "all_diagrams",
+            "apply_symmetry",
+            "canonical_form",
+            "crossings",
+            "is_strict",
+        ),
+        "diagrams",
+    ),
+    **dict.fromkeys(("ConsistencyError", "DomainError", "ResourceLimitError"), "errors"),
+    **dict.fromkeys(
+        (
+            "CycleType",
+            "GroupElement",
+            "PermGroup",
+            "cycle_type_of",
+            "divisors",
+            "euler_phi",
+            "generate_group",
+            "make_standard_group",
+            "partitions",
+        ),
+        "groups",
+    ),
+    **dict.fromkeys(
+        (
+            "OrbitSummary",
+            "crossing_distribution",
+            "fixed_diagram_count",
+            "orbit_count",
+            "representatives",
+            "strict_count",
+        ),
+        "oracle",
+    ),
+    "render_svg": "svg",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS.values():
+        # a submodule, as an eager `import chorddia` used to bind them all
+        return importlib.import_module(f"{__name__}.{name}")
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS, *_EXPORTS.values()})

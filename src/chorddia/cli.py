@@ -12,17 +12,28 @@ import json
 import math
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import burnside, classic, closed_forms, oracle
 from .errors import DomainError, ResourceLimitError
-from .groups import GroupElement, PermGroup, generate_group, make_standard_group
-from .svg import render_svg
 
-STANDARD_FORMULAS = {
-    "identity": closed_forms.diagram_count,
-    "cyclic": closed_forms.cyclic_count,
-    "dihedral": closed_forms.dihedral_count,
+if TYPE_CHECKING:
+    from .groups import PermGroup
+
+# Each handler imports the modules it runs, so a short command compiles and
+# loads only those: a formula count never loads the oracle or Burnside.
+
+# standard group kind -> the name of its closed form in closed_forms
+_FORMULA_NAMES = {
+    "identity": "diagram_count",
+    "cyclic": "cyclic_count",
+    "dihedral": "dihedral_count",
 }
+
+
+def _standard_formula(kind: str):
+    from . import closed_forms
+
+    return getattr(closed_forms, _FORMULA_NAMES[kind])
 
 
 def _require_order(n: int) -> int:
@@ -35,12 +46,22 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _group_file_int(text: str) -> int:
+    # run() lifts Python's digit limit for output, but int() of a long digit
+    # string takes quadratic time, so a group file keeps the default limit
+    if len(text) > 4300:
+        raise DomainError(f"group file holds an integer of {len(text)} digits")
+    return int(text)
+
+
 def load_group_file(path: str, points_expected: int | None = None) -> PermGroup:
     """Read {"points": 2n, "elements": [[1-based images], ...]} and close it
     under composition."""
+    from . import groups
+
     try:
         with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
+            obj = json.load(fh, parse_int=_group_file_int)
     except OSError as exc:
         raise DomainError(f"cannot read group file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -55,10 +76,10 @@ def load_group_file(path: str, points_expected: int | None = None) -> PermGroup:
         raise DomainError(
             f"group file acts on {points} points but n requires {points_expected}"
         )
-    if not isinstance(obj["elements"], list):
+    rows = obj["elements"]
+    if not isinstance(rows, list):
         raise DomainError("group file 'elements' must be a list of image lists")
-    elements = []
-    for row in obj["elements"]:
+    for row in rows:
         # the length check comes first: the range below has `points` entries
         if (
             not isinstance(row, list)
@@ -67,13 +88,21 @@ def load_group_file(path: str, points_expected: int | None = None) -> PermGroup:
             or sorted(row) != list(range(1, points + 1))
         ):
             raise DomainError(f"group file element {row!r} is not a 1-based bijection")
-        elements.append(GroupElement.from_images([x - 1 for x in row]))
-    return generate_group(elements, points)
+    # the closure's bound on stored entries, checked before any element is built
+    if len(rows) * points > groups.MAX_CLOSURE_ENTRIES:
+        raise ResourceLimitError(
+            f"group file lists {len(rows)} elements of {points} points, more than"
+            f" {groups.MAX_CLOSURE_ENTRIES} image entries"
+        )
+    elements = [groups.GroupElement.from_images([x - 1 for x in row]) for row in rows]
+    return groups.generate_group(elements, points)
 
 
 def _resolve_group(args, n: int) -> PermGroup:
     if getattr(args, "group_file", None):
         return load_group_file(args.group_file, points_expected=2 * n)
+    from .groups import make_standard_group
+
     return make_standard_group(args.group, 2 * n)
 
 
@@ -86,10 +115,14 @@ def _cmd_count(args) -> int:
     if args.group_file and method == "formula":
         raise DomainError("--method formula needs a standard group; use burnside or oracle")
     if method == "formula":
-        value = STANDARD_FORMULAS[args.group](n)
+        value = _standard_formula(args.group)(n)
     elif method == "burnside":
+        from . import burnside
+
         value = burnside.burnside_count(n, _resolve_group(args, n))
     else:
+        from . import oracle
+
         value = oracle.orbit_count(n, _resolve_group(args, n), threads=args.threads).orbit_count
     print(value)
     return 0
@@ -98,6 +131,8 @@ def _cmd_count(args) -> int:
 # ---------------------------------------------------------------- table
 
 def _table_records(first: int, last: int) -> list[dict]:
+    from . import closed_forms
+
     records = []
     for n in range(first, last + 1):
         records.append(
@@ -143,6 +178,8 @@ def _cmd_table(args) -> int:
 # ---------------------------------------------------------------- enumerate
 
 def _cmd_enumerate(args) -> int:
+    from . import oracle
+
     n = _require_order(args.n)
     group = _resolve_group(args, n)
     reps = oracle.representatives(n, group)
@@ -152,6 +189,8 @@ def _cmd_enumerate(args) -> int:
         return 0
     if not args.out:
         raise DomainError("--format svg-dir requires --out DIR")
+    from .svg import render_svg
+
     out_dir = Path(args.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -171,8 +210,12 @@ def _cmd_enumerate(args) -> int:
 def _cmd_crossings(args) -> int:
     n = _require_order(args.n)
     if args.method == "formula":
+        from . import classic
+
         poly = classic.crossing_polynomial(n)
     else:
+        from . import oracle
+
         poly = oracle.crossing_distribution(n, threads=args.threads)
     if args.format == "csv":
         out = ["crossings,count"]
@@ -191,6 +234,8 @@ def _cmd_crossings(args) -> int:
 # ---------------------------------------------------------------- strict
 
 def _cmd_strict(args) -> int:
+    from . import classic
+
     n_max = _require_order(args.n_max)
     seqs = classic.strict_sequences(n_max)
     out = ["n,strict,cumulative"]
@@ -203,6 +248,9 @@ def _cmd_strict(args) -> int:
 # ---------------------------------------------------------------- verify
 
 def _cmd_verify(args) -> int:
+    from . import burnside, classic, closed_forms, oracle
+    from .groups import make_standard_group
+
     n_max = _require_order(args.n_max)
     cap = oracle.enumeration_cap()
     if args.oracle_max is None:
@@ -229,7 +277,8 @@ def _cmd_verify(args) -> int:
             failures += 1
             print(f"FAIL {name}{': ' + detail if detail else ''}", file=file)
 
-    for kind, formula in STANDARD_FORMULAS.items():
+    for kind in _FORMULA_NAMES:
+        formula = _standard_formula(kind)
         # first mismatch of each line, "" while there is none
         formula_detail = wreath_detail = ""
         for n in range(1, n_max + 1):
@@ -252,7 +301,8 @@ def _cmd_verify(args) -> int:
         )
 
     effective = min(oracle_max, cap)
-    for kind, formula in STANDARD_FORMULAS.items():
+    for kind in _FORMULA_NAMES:
+        formula = _standard_formula(kind)
         ok = True
         detail = ""
         for n in range(1, effective + 1):
@@ -387,6 +437,12 @@ def run(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
+    # Counts past 4300 digits must print, so Python's int-to-str limit
+    # (3.11+) is lifted while the command runs; argv was parsed under it.
+    previous = None
+    if hasattr(sys, "set_int_max_str_digits"):
+        previous = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
     try:
         return args.handler(args)
     except DomainError as exc:
@@ -395,6 +451,9 @@ def run(argv: list[str] | None = None) -> int:
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    finally:
+        if previous is not None:
+            sys.set_int_max_str_digits(previous)
 
 
 def main() -> None:

@@ -13,10 +13,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .errors import DomainError, exact_div
 from .groups import CycleType, divisors, euler_phi
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 def double_factorial(m: int) -> int:
@@ -86,6 +89,8 @@ def wreath_uniform_count(n: int, i: int) -> int:
         raise DomainError("wreath_uniform_count requires n >= 1")
     if i < 1 or (2 * n) % i:
         raise DomainError(f"{i} does not divide {2 * n}")
+    from fractions import Fraction  # imported here: with decimal, a few ms of start-up
+
     if i % 2:
         value = Fraction(
             2**n * math.factorial(n),
@@ -153,6 +158,8 @@ class AsymptoticBound:
 
     @property
     def as_fraction(self) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(self.numerator, self.denominator)
 
 

@@ -18,8 +18,9 @@ STANDARD_GROUP_KINDS = ("identity", "cyclic", "dihedral")
 
 DEFAULT_CLOSURE_CAP = 10**6
 
-# A closure stores one image tuple of `points` entries per element; past
-# this many entries in all (about 80 MB of tuple slots) it stops.
+# A group stores one image tuple of `points` entries per element; past this
+# many entries in all (about 80 MB of tuple slots) a closure stops, and a
+# standard group or a group file is refused before it is built.
 MAX_CLOSURE_ENTRIES = 10**7
 
 
@@ -229,10 +230,17 @@ def make_standard_group(kind: str, points: int) -> PermGroup:
 
     For points >= 4 the dihedral group has order 2*points; on 2 points the
     single reflection coincides with the half-turn, so the set degenerates
-    to order 2.
+    to order 2. Raises ResourceLimitError, before building anything, when
+    the elements would store more than MAX_CLOSURE_ENTRIES image entries.
     """
     if points < 2 or points % 2:
         raise DomainError("points must be even and >= 2")
+    built = {"identity": 1, "cyclic": points, "dihedral": 2 * points}.get(kind, 0)
+    if built * points > MAX_CLOSURE_ENTRIES:
+        raise ResourceLimitError(
+            f"the {kind} group on {points} points needs {built * points} stored"
+            f" image entries, more than {MAX_CLOSURE_ENTRIES}"
+        )
     if kind == "identity":
         elems = [GroupElement.identity(points)]
     elif kind == "cyclic":

@@ -31,7 +31,6 @@ multi-process runs are deterministic.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 from dataclasses import dataclass
 
@@ -151,6 +150,8 @@ def _resolve_threads(threads: int | None) -> int:
 def _map_branches(worker, tasks, threads: int):
     if threads == 1 or len(tasks) <= 1:
         return [worker(t) for t in tasks]
+    import multiprocessing  # about 10 ms to import, so only for a pool
+
     with multiprocessing.Pool(min(threads, len(tasks))) as pool:
         # pruning makes branches unequal, so hand them out one at a time
         return pool.map(worker, tasks, chunksize=1)

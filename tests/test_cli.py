@@ -4,12 +4,13 @@ import resource
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
 
 import chorddia
-from chorddia import ChordDiagram, make_standard_group, representatives
+from chorddia import ChordDiagram, dihedral_count, make_standard_group, representatives
 from chorddia.cli import run
 from chorddia.svg import render_svg
 
@@ -24,6 +25,21 @@ EXPECTED_TABLE_3_10 = (
     "9,1915951,1914412,966156,957206\n"
     "10,32743182,32736453,16411700,16368226\n"
 )
+
+
+@contextmanager
+def int_str_digits(limit):
+    """Python's int-to-str digit limit set to limit (0 for none), where the
+    interpreter has one."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(previous)
 
 
 def diagram(*chords_1b):
@@ -55,6 +71,28 @@ class TestCount:
     def test_usage_error(self, capsys):
         assert run(["count", "--group", "wavelet", "--n", "3"]) == 2
         capsys.readouterr()
+
+    def test_count_past_int_str_digit_limit(self, capsys):
+        # d_2000 has 6332 digits; CPython 3.11 refuses str() past 4300 by default
+        with int_str_digits(4300):
+            assert run(["count", "--group", "dihedral", "--n", "2000"]) == 0
+            restored = getattr(sys, "get_int_max_str_digits", lambda: 4300)()
+        assert restored == 4300
+        out = capsys.readouterr().out
+        with int_str_digits(0):
+            assert out == f"{dihedral_count(2000)}\n"
+        assert len(out) > 4301
+
+    def test_standard_group_entry_bound(self):
+        # C_200000 would store 4 * 10^10 image entries; nothing is built
+        proc = run_module(
+            "count", "--method", "burnside", "--group", "cyclic", "--n", "100000",
+            address_space=600 * 2**20,
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert "stored image entries" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_group_file(self, tmp_path, capsys):
         # rotation generator, 1-based images; closure yields the full C_6
@@ -112,6 +150,35 @@ class TestCount:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "191 stored image entries" in captured.err
+
+    def test_group_file_long_integer(self, tmp_path, capsys):
+        # refused before int() parses it, though run() lifts the output limit
+        path = tmp_path / "long.json"
+        path.write_text('{"points": ' + "2" * 5000 + ', "elements": []}')
+        assert run(["count", "--n", "3", "--group-file", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "integer of 5000 digits" in captured.err
+
+    def test_group_file_row_bound(self, tmp_path, capsys, monkeypatch):
+        from chorddia import groups
+
+        # two identity rows on 6 points list 12 entries; their closure stores 6
+        path = tmp_path / "rows.json"
+        path.write_text(json.dumps({"points": 6, "elements": [list(range(1, 7))] * 2}))
+        monkeypatch.setattr(groups, "MAX_CLOSURE_ENTRIES", 12)
+        assert run(["count", "--n", "3", "--group-file", str(path)]) == 0
+        assert capsys.readouterr().out == "15\n"
+        monkeypatch.setattr(groups, "MAX_CLOSURE_ENTRIES", 11)
+
+        def refuse(images):
+            raise AssertionError("an element was built past the bound")
+
+        monkeypatch.setattr(groups.GroupElement, "from_images", refuse)
+        assert run(["count", "--n", "3", "--group-file", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "2 elements of 6 points, more than 11 image entries" in captured.err
 
     @pytest.mark.parametrize(
         "elements,code,message",

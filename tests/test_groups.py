@@ -212,6 +212,23 @@ class TestStandardGroups:
             two_fixed = CycleType(((1, 2), (2, n - 1)))
             assert types.count(two_fixed) == n
 
+    @pytest.mark.parametrize(
+        "kind,entries", [("identity", 6), ("cyclic", 36), ("dihedral", 72)]
+    )
+    def test_entry_bound(self, monkeypatch, kind, entries):
+        # on 6 points: 1, 6 and 12 elements built, 6 entries each
+        monkeypatch.setattr(groups, "MAX_CLOSURE_ENTRIES", entries)
+        assert make_standard_group(kind, 6).size == 6
+        monkeypatch.setattr(groups, "MAX_CLOSURE_ENTRIES", entries - 1)
+
+        def refuse(*args):
+            raise AssertionError("an element was built past the bound")
+
+        for build in ("identity", "rotation", "reflection"):
+            monkeypatch.setattr(GroupElement, build, refuse)
+        with pytest.raises(ResourceLimitError, match=f"{entries - 1}$"):
+            make_standard_group(kind, 6)
+
 
 class TestGenerateGroup:
     def test_empty_generators(self):
