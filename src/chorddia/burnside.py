@@ -16,25 +16,28 @@ types of that group and of the acting group. Only verification uses it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from typing import Mapping
 
 from .closed_forms import fixed_matching_count
-from .errors import DomainError, exact_div
+from .errors import DomainError, Record, exact_div
 from .groups import CycleType, PermGroup, cycle_type_of, partitions
 
 PartsKey = tuple[tuple[int, int], ...]
 
 
-@dataclass(frozen=True)
-class WreathTypeDistribution:
+class WreathTypeDistribution(Record):
     """How many of the 2^n * n! pair-permutations-with-flips have each cycle
     type, viewed as permutations of the 2n matrix entries."""
 
+    __slots__ = ("n", "entries")
     n: int
     entries: Mapping[CycleType, int]
+
+    def __init__(self, n: int, entries: Mapping[CycleType, int]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "entries", entries)
 
     @property
     def total(self) -> int:

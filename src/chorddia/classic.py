@@ -5,18 +5,21 @@ circle edge)."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .errors import ConsistencyError, DomainError, exact_div
+from .errors import ConsistencyError, DomainError, Record, exact_div
 
 
-@dataclass(frozen=True)
-class CrossingPolynomial:
+class CrossingPolynomial(Record):
     """coefficients[j] = number of diagrams of order n with exactly j
     crossings; length C(n,2)+1."""
 
+    __slots__ = ("n", "coefficients")
     n: int
     coefficients: tuple[int, ...]
+
+    def __init__(self, n: int, coefficients: tuple[int, ...]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "coefficients", coefficients)
 
     @property
     def total(self) -> int:
@@ -27,13 +30,17 @@ class CrossingPolynomial:
         return self.coefficients[0]
 
 
-@dataclass(frozen=True)
-class StrictSequences:
+class StrictSequences(Record):
     """strict[k] is the number of strict diagrams of order k+1; cumulative[k]
     the running total through order k+1."""
 
+    __slots__ = ("cumulative", "strict")
     cumulative: tuple[int, ...]
     strict: tuple[int, ...]
+
+    def __init__(self, cumulative: tuple[int, ...], strict: tuple[int, ...]):
+        object.__setattr__(self, "cumulative", cumulative)
+        object.__setattr__(self, "strict", strict)
 
 
 def catalan_noncrossing(n: int) -> int:

@@ -8,7 +8,6 @@ Exit codes: 0 success, 1 verification failure, 2 usage or domain error,
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from pathlib import Path
@@ -57,6 +56,8 @@ def _group_file_int(text: str) -> int:
 def load_group_file(path: str, points_expected: int | None = None) -> PermGroup:
     """Read {"points": 2n, "elements": [[1-based images], ...]} and close it
     under composition."""
+    import json  # a few ms of start-up, so only where JSON is read or written
+
     from . import groups
 
     try:
@@ -123,7 +124,10 @@ def _cmd_count(args) -> int:
     else:
         from . import oracle
 
-        value = oracle.orbit_count(n, _resolve_group(args, n), threads=args.threads).orbit_count
+        # refused before the group is built or closed
+        oracle._check_n(n)
+        threads = oracle._resolve_threads(args.threads)
+        value = oracle.orbit_count(n, _resolve_group(args, n), threads=threads).orbit_count
     print(value)
     return 0
 
@@ -160,6 +164,8 @@ def _cmd_table(args) -> int:
             )
         sys.stdout.write("\n".join(out) + "\n")
     else:
+        import json
+
         payload = [
             {
                 "n": r["n"],
@@ -181,9 +187,11 @@ def _cmd_enumerate(args) -> int:
     from . import oracle
 
     n = _require_order(args.n)
-    group = _resolve_group(args, n)
-    reps = oracle.representatives(n, group)
+    oracle._check_n(n)  # refused before the group is built or closed
+    reps = oracle.representatives(n, _resolve_group(args, n))
     if args.format == "jsonl":
+        import json
+
         for d in reps:
             sys.stdout.write(json.dumps(d.to_json_dict()) + "\n")
         return 0
@@ -222,6 +230,8 @@ def _cmd_crossings(args) -> int:
         out += [f"{j},{c}" for j, c in enumerate(poly.coefficients)]
         sys.stdout.write("\n".join(out) + "\n")
     else:
+        import json
+
         json.dump(
             {"n": n, "coefficients": [str(c) for c in poly.coefficients]},
             sys.stdout,

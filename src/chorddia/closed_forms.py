@@ -12,10 +12,9 @@ exact (see errors.ConsistencyError).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import DomainError, exact_div
+from .errors import DomainError, Record, exact_div
 from .groups import CycleType, divisors, euler_phi
 
 if TYPE_CHECKING:
@@ -45,8 +44,11 @@ def fixed_matching_count(cycle_type: CycleType) -> int:
     cycles of the same length, so the count is a product over lengths with
     m cycles each. Two l-cycles can be joined in l ways. An odd cycle can
     only be joined to another one: [m even] * l^(m/2) * (m-1)!!. An even
-    cycle may also be matched to itself by its l/2 diameters; choosing
-    the 2k cycles that pair up gives sum_k C(m, 2k) * l^k * (2k-1)!!.
+    cycle may also be matched to itself by its l/2 diameters, which gives
+    sum_k C(m, 2k) * l^k * (2k-1)!!. That sum is evaluated by the
+    recurrence a_m = a_(m-1) + (m-1) * l * a_(m-2), a_0 = a_1 = 1: the
+    last cycle is matched to itself, or joined in l ways to one of the
+    other m-1.
     """
     total = 1
     for length, mult in cycle_type.parts:
@@ -55,12 +57,10 @@ def fixed_matching_count(cycle_type: CycleType) -> int:
                 return 0
             total *= length ** (mult // 2) * double_factorial(mult - 1)
         else:
-            factor, power, pairings = 0, 1, 1
-            for k in range(mult // 2 + 1):
-                factor += math.comb(mult, 2 * k) * power * pairings
-                power *= length
-                pairings *= 2 * k + 1
-            total *= factor
+            previous, current = 1, 1
+            for m in range(2, mult + 1):
+                previous, current = current, current + (m - 1) * length * previous
+            total *= current
     return total
 
 
@@ -145,16 +145,23 @@ def dihedral_count(n: int) -> int:
     return exact_div(cyclic_count(n) + reflection_part, 2, "dihedral_count")
 
 
-@dataclass(frozen=True)
-class AsymptoticBound:
+class AsymptoticBound(Record):
     """Exact rational lower bound (2n-1)!!/(2n) or (2n-1)!!/(4n) together
     with its integer part."""
 
+    __slots__ = ("kind", "n", "numerator", "denominator", "exact_floor")
     kind: str
     n: int
     numerator: int
     denominator: int
     exact_floor: int
+
+    def __init__(self, kind: str, n: int, numerator: int, denominator: int, exact_floor: int):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "numerator", numerator)
+        object.__setattr__(self, "denominator", denominator)
+        object.__setattr__(self, "exact_floor", exact_floor)
 
     @property
     def as_fraction(self) -> Fraction:

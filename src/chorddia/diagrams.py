@@ -8,29 +8,32 @@ order of the points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
-from .errors import DomainError
+from .errors import DomainError, Record
 from .groups import GroupElement, PermGroup
 
 
-@dataclass(frozen=True)
-class ChordDiagram:
+class ChordDiagram(Record):
     """A fixed-point-free involution on [0, 2n): a perfect matching of the
     circle points by chords."""
 
+    __slots__ = ("partner",)
     partner: tuple[int, ...]
 
-    def __post_init__(self):
-        p = self.partner
-        n2 = len(p)
+    def __init__(self, partner: tuple[int, ...]):
+        object.__setattr__(self, "partner", partner)
+        n2 = len(partner)
         if n2 % 2:
             raise DomainError("diagram needs an even number of points")
         for v in range(n2):
-            w = p[v]
-            if not 0 <= w < n2 or w == v or p[w] != v:
+            w = partner[v]
+            if not 0 <= w < n2 or w == v or partner[w] != v:
                 raise DomainError("partner array is not a fixed-point-free involution")
+
+    def __hash__(self):
+        # Record's hash, one call shorter (see CycleType.__hash__)
+        return hash((self.partner,))
 
     @classmethod
     def from_chords(cls, chords: Sequence[tuple[int, int]], size: int | None = None) -> "ChordDiagram":

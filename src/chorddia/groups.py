@@ -7,12 +7,11 @@ displayed form is 1-based.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError, Record, ResourceLimitError
 
 STANDARD_GROUP_KINDS = ("identity", "cyclic", "dihedral")
 
@@ -24,21 +23,27 @@ DEFAULT_CLOSURE_CAP = 10**6
 MAX_CLOSURE_ENTRIES = 10**7
 
 
-@dataclass(frozen=True)
-class CycleType:
+class CycleType(Record):
     """Multiset of cycle lengths, stored as (length, multiplicity) pairs
     sorted by length."""
 
+    __slots__ = ("parts",)
     parts: tuple[tuple[int, int], ...]
 
-    def __post_init__(self):
-        for length, mult in self.parts:
+    def __init__(self, parts: tuple[tuple[int, int], ...]):
+        object.__setattr__(self, "parts", parts)
+        for length, mult in parts:
             if length < 1 or mult < 1:
                 raise DomainError(f"invalid cycle type entry {length}^{mult}")
-        if list(self.parts) != sorted(self.parts):
+        if list(parts) != sorted(parts):
             raise DomainError("cycle type parts must be sorted by length")
-        if len({length for length, _ in self.parts}) != len(self.parts):
+        if len({length for length, _ in parts}) != len(parts):
             raise DomainError("duplicate length in cycle type")
+
+    def __hash__(self):
+        # Record's hash without its generic field walk: a class split
+        # hashes one CycleType per group element
+        return hash((self.parts,))
 
     @classmethod
     def from_counts(cls, counts: Mapping[int, int]) -> "CycleType":
@@ -65,16 +70,20 @@ class CycleType:
         return " ".join(f"{l}^{m}" for l, m in self.parts) or "(empty)"
 
 
-@dataclass(frozen=True)
-class GroupElement:
+class GroupElement(Record):
     """A permutation of the circle points, identified by its image array."""
 
+    __slots__ = ("images",)
     images: tuple[int, ...]
 
-    def __post_init__(self):
-        n = len(self.images)
-        if sorted(self.images) != list(range(n)):
+    def __init__(self, images: tuple[int, ...]):
+        object.__setattr__(self, "images", images)
+        if sorted(images) != list(range(len(images))):
             raise DomainError("images must be a bijection on [0, size)")
+
+    def __hash__(self):
+        # Record's hash, one call shorter (see CycleType.__hash__)
+        return hash((self.images,))
 
     @classmethod
     def identity(cls, size: int) -> "GroupElement":
@@ -123,12 +132,16 @@ class GroupElement:
         return all(w == v for v, w in enumerate(self.images))
 
 
-@dataclass(frozen=True)
-class PermGroup:
+class PermGroup(Record):
     """A finite set of permutations of [0, size), closed under composition."""
 
+    __slots__ = ("size", "elements")
     size: int
     elements: tuple[GroupElement, ...]
+
+    def __init__(self, size: int, elements: tuple[GroupElement, ...]):
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "elements", elements)
 
     @property
     def order(self) -> int:

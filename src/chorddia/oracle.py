@@ -32,11 +32,10 @@ multi-process runs are deterministic.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 
 from .classic import CrossingPolynomial
 from .diagrams import ChordDiagram, _walk
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError, Record, ResourceLimitError
 from .groups import GroupElement, PermGroup
 
 DEFAULT_CAP = 8
@@ -47,12 +46,20 @@ CAP_ENV_VAR = "CHORDDIA_ORACLE_CAP"
 _ElementArrays = tuple[tuple[int, ...], tuple[int, ...]]
 
 
-@dataclass(frozen=True)
-class OrbitSummary:
+class OrbitSummary(Record):
+    __slots__ = ("n", "group_order", "orbit_count", "orbit_size_histogram")
     n: int
     group_order: int
     orbit_count: int
     orbit_size_histogram: dict[int, int]
+
+    def __init__(
+        self, n: int, group_order: int, orbit_count: int, orbit_size_histogram: dict[int, int]
+    ):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "group_order", group_order)
+        object.__setattr__(self, "orbit_count", orbit_count)
+        object.__setattr__(self, "orbit_size_histogram", orbit_size_histogram)
 
 
 def enumeration_cap() -> int:

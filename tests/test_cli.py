@@ -68,6 +68,40 @@ class TestCount:
         assert run(["count", "--group", "cyclic", "--n", "9", "--method", "oracle"]) == 3
         assert "cap" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv,code,message",
+        [
+            (["count", "--n", "9", "--method", "oracle"], 3, "oracle capped at n <= 8"),
+            (["enumerate", "--n", "9"], 3, "oracle capped at n <= 8"),
+            (["count", "--n", "5", "--method", "oracle", "--threads", "0"], 2,
+             "threads must be >= 1"),
+        ],
+        ids=["count", "enumerate", "threads"],
+    )
+    def test_oracle_refuses_before_building_group(
+        self, tmp_path, capsys, monkeypatch, argv, code, message
+    ):
+        from chorddia import groups
+
+        # S_9 on points 1..9 of 18 would close 362,880 elements first
+        n = int(argv[argv.index("--n") + 1])
+        points = 2 * n
+        swap = [2, 1] + list(range(3, points + 1))
+        cycle = [2, 3, 4, 5, 6, 7, 8, 9, 1] + list(range(10, points + 1))
+        path = tmp_path / "s9.json"
+        path.write_text(json.dumps({"points": points, "elements": [swap, cycle]}))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the group was built before the oracle's checks")
+
+        monkeypatch.setattr(groups, "generate_group", refuse)
+        monkeypatch.setattr(groups, "make_standard_group", refuse)
+        for extra in ([], ["--group-file", str(path)]):
+            assert run(argv + extra) == code
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert message in captured.err
+
     def test_usage_error(self, capsys):
         assert run(["count", "--group", "wavelet", "--n", "3"]) == 2
         capsys.readouterr()

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -36,6 +37,15 @@ class TestDoubleFactorial:
         assert [diagram_count(n) for n in range(1, 6)] == [1, 3, 15, 105, 945]
 
 
+def even_factor_sum(length, mult):
+    """The even-cycle factor as the sum the recurrence replaced:
+    sum_k C(m, 2k) * l^k * (2k-1)!!."""
+    return sum(
+        math.comb(mult, 2 * k) * length**k * double_factorial(2 * k - 1)
+        for k in range(mult // 2 + 1)
+    )
+
+
 class TestFixedMatchingCount:
     @pytest.mark.parametrize(
         "counts,expected",
@@ -50,6 +60,25 @@ class TestFixedMatchingCount:
                 for g in make_standard_group(kind, 2 * n):
                     expected = fixed_diagram_count(n, g)
                     assert fixed_matching_count(cycle_type_of(g)) == expected, (kind, g)
+
+    def test_even_recurrence_matches_sum(self):
+        for length in range(2, 13, 2):
+            for mult in range(1, 61):
+                got = fixed_matching_count(CycleType(((length, mult),)))
+                assert got == even_factor_sum(length, mult), (length, mult)
+        mixed = CycleType(((1, 4), (2, 7), (3, 2), (6, 9)))
+        expected = 1 * 3 * even_factor_sum(2, 7) * 3 * even_factor_sum(6, 9)
+        assert fixed_matching_count(mixed) == expected
+
+    def test_dihedral_2000_unchanged(self):
+        # digest of d_2000 as computed with the sum before the recurrence
+        value = dihedral_count(2000)
+        digest = hashlib.sha256(value.to_bytes((value.bit_length() + 7) // 8, "big"))
+        assert value.bit_length() == 21034
+        assert value % 10**12 == 610666418020
+        assert digest.hexdigest() == (
+            "0765c95136e8841c30efd2d5c05c7f3d96a33e6b900ec4fcd0e97c67eafeb559"
+        )
 
 
 class TestRotationFixedCount:

@@ -1,7 +1,7 @@
 """Lazy start-up: the package and the CLI import a submodule only when a
 name from it is used, so each command loads only the code it runs."""
 
-import json
+import ast
 import subprocess
 import sys
 from pathlib import Path
@@ -10,12 +10,13 @@ import pytest
 
 import chorddia
 
-# Prints, as JSON, the modules that the snippet passed as argv[1] loaded.
+# Prints, on its last line, the modules that the snippet passed as argv[1]
+# loaded; it imports nothing itself, so json is seen like any other module.
 PROBE = """
-import json, sys
+import sys
 before = set(sys.modules)
 exec(sys.argv[1])
-print(json.dumps(sorted(set(sys.modules) - before)))
+print(" ".join(sorted(set(sys.modules) - before)))
 """
 
 # `python -m chorddia ARGS` as runpy runs it, then the modules it loaded
@@ -39,7 +40,7 @@ def loaded_by(snippet: str) -> set[str]:
         text=True,
         check=True,
     )
-    return set(json.loads(proc.stdout.splitlines()[-1]))
+    return set(proc.stdout.splitlines()[-1].split())
 
 
 def main_snippet(*args: str) -> str:
@@ -93,3 +94,42 @@ def test_submodules_stay_attributes():
     # an eager `import chorddia` used to bind every submodule
     loaded = loaded_by("import chorddia; chorddia.oracle.orbit_count")
     assert "chorddia.oracle" in loaded
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("count", "--n", "5"),
+        ("count", "--method", "burnside", "--group", "dihedral", "--n", "20"),
+        ("crossings", "--n", "12"),
+        ("enumerate", "--n", "5", "--group", "cyclic"),
+    ],
+    ids=["formula", "burnside", "crossings", "enumerate"],
+)
+def test_command_loads_no_dataclasses(args):
+    # dataclasses imports inspect, which imports ast, dis and tokenize
+    loaded = loaded_by(main_snippet(*args))
+    assert "chorddia.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "ast"}
+
+
+def test_formula_count_loads_no_json():
+    loaded = loaded_by(main_snippet("count", "--n", "5"))
+    assert "chorddia.closed_forms" in loaded
+    assert "json" not in loaded
+
+
+def test_no_module_imports_dataclasses():
+    package = Path(chorddia.__file__).resolve().parent
+    sources = sorted(package.glob("*.py"))
+    assert len(sources) > 10
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            for module in modules:
+                assert module.partition(".")[0] != "dataclasses", (path.name, node.lineno)
