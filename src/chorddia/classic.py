@@ -88,6 +88,41 @@ def crossing_polynomial(n: int) -> CrossingPolynomial:
     return CrossingPolynomial(n=n, coefficients=tuple(coeffs))
 
 
+def _crossing_transfer(n: int) -> tuple[int, ...]:
+    """Distribution of diagrams of order n by crossing number, by a
+    transfer count that uses no closed form: scan the 2n points in order;
+    each point opens a chord or closes one of the k open chords. Closing
+    the j-th newest crosses exactly the j-1 newer open chords (each began
+    inside it and ends outside), so it adds j-1 crossings.
+
+    ways[k][c] is the number of ways to reach the current point with k
+    chords open and c crossings so far.
+    """
+    if n < 1:
+        raise DomainError("_crossing_transfer requires n >= 1")
+    size = 2 * n
+    ways = [[1]]
+    for point in range(size):
+        left = size - point - 1  # points after this one
+        nxt: list[list[int]] = [[] for _ in range(len(ways) + 1)]
+        for k, poly in enumerate(ways):
+            if k < left:  # opening leaves k+1 chords for the points after
+                _add_shifted(nxt[k + 1], poly, 0)
+            for j in range(1, k + 1):
+                _add_shifted(nxt[k - 1], poly, j - 1)
+        ways = nxt
+    return tuple(ways[0])
+
+
+def _add_shifted(target: list[int], poly: list[int], shift: int):
+    """target += x^shift * poly, growing target as needed."""
+    need = len(poly) + shift
+    if len(target) < need:
+        target.extend([0] * (need - len(target)))
+    for c, count in enumerate(poly):
+        target[c + shift] += count
+
+
 def strict_sequences(n_max: int) -> StrictSequences:
     """Strict-diagram counts through order n_max via the
     Hazewinkel-Kalashnikov recurrence on the cumulative sequence:

@@ -365,6 +365,22 @@ def _cmd_verify(args) -> int:
             break
     report(f"crossing polynomial == crossing histogram (n <= {min(effective, 7)})", ok, detail)
 
+    # the oracle's crossing walk shares its pruning with the orbit counts,
+    # so a formula-free transfer count checks the polynomial on its own
+    # (on stderr, like the wreath lines)
+    ok = True
+    detail = ""
+    for n in range(1, min(effective, 7) + 1):
+        if classic.crossing_polynomial(n).coefficients != classic._crossing_transfer(n):
+            ok, detail = False, f"n={n}"
+            break
+    report(
+        f"crossing polynomial == transfer count (n <= {min(effective, 7)})",
+        ok,
+        detail,
+        sys.stderr,
+    )
+
     ok = True
     detail = ""
     seqs = classic.strict_sequences(n_max)

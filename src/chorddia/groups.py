@@ -86,6 +86,14 @@ class GroupElement(Record):
         return hash((self.images,))
 
     @classmethod
+    def _unchecked(cls, images: tuple[int, ...]) -> "GroupElement":
+        """An element on images that are a bijection by construction (the
+        closure composes only bijections), without checking it again."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "images", images)
+        return g
+
+    @classmethod
     def identity(cls, size: int) -> "GroupElement":
         return cls(tuple(range(size)))
 
@@ -303,7 +311,7 @@ def generate_group(
                         )
                     raise ResourceLimitError(_entries_message(points))
                 frontier.append(nxt)
-    return PermGroup(points, tuple(GroupElement(images) for images in sorted(seen)))
+    return PermGroup(points, tuple(map(GroupElement._unchecked, sorted(seen))))
 
 
 def _entries_message(points: int) -> str:

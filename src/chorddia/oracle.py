@@ -16,10 +16,18 @@ equal those of testing every one of the (2n-1)!! matchings:
   is a minimum, so the subtree is skipped. At a complete matching the
   elements still compared equal at every position are exactly the
   non-identity stabilizer.
-- crossings: when chord (v, w) is placed, the matched points inside
-  (v, w) all have partners below v, so each is one crossing with
-  (v, w); every crossing is counted once, when its later chord is placed.
-- strict: a chord (v, v+1) or (0, 2n-1) is never placed.
+- crossings and strict: both are constant on the orbits of the dihedral
+  group D_2n (order 4n for n >= 2), since a rotation or reflection of the
+  circle keeps interleaved chords interleaved and circle-adjacent points
+  adjacent. So these paths walk only the D_2n orbit minima, with the
+  orbits' hook, and add each minimum's orbit size |G| / |Stab| (orbit-
+  stabilizer) in place of 1. Crossings ride along in the state: when
+  chord (v, w) is placed, the matched points inside (v, w) all have
+  partners below v, so each is one crossing with (v, w); every crossing
+  is counted once, when its later chord is placed. Strict: a chord
+  (v, v+1) or (0, 2n-1) is never placed; strict diagrams are a union of
+  orbits, so that prune and the orbits' prune together reach exactly the
+  minima of the strict orbits.
 - fixed count: a chord (v, w) is skipped when g maps it, or maps a placed
   chord onto one of its points, inconsistently with what is placed;
   every matching reached is then fixed by g.
@@ -36,7 +44,7 @@ import os
 from .classic import CrossingPolynomial
 from .diagrams import ChordDiagram, _walk
 from .errors import DomainError, Record, ResourceLimitError
-from .groups import GroupElement, PermGroup
+from .groups import GroupElement, PermGroup, make_standard_group
 
 DEFAULT_CAP = 8
 HARD_CAP = 9
@@ -225,18 +233,27 @@ def representatives(n: int, group: PermGroup) -> list[ChordDiagram]:
     ]
 
 
-def _crossing_place(partner, v, w, crossings):
+def _dihedral_start(size: int) -> tuple[int, list]:
+    """Order of D_2n on size points and the orbits' initial hook state."""
+    group = make_standard_group("dihedral", size)
+    return group.order, [(img, inv, 0) for img, inv in _element_arrays(group)]
+
+
+def _crossing_orbit_place(partner, v, w, state):
+    tied = _orderly_place(partner, v, w, state[0])
+    if tied is None:
+        return None
     # every matched point strictly inside (v, w) has its partner below v
     inside = partner[v + 1:w]
-    return crossings + len(inside) - inside.count(-1)
+    return tied, state[1] + len(inside) - inside.count(-1)
 
 
 def _crossing_branch(args) -> list[int]:
-    size, first = args
+    size, first, group_order, tied = args
     n = size // 2
     counts = [0] * (n * (n - 1) // 2 + 1)
-    for _, crossings in _walk(size, first, _crossing_place, 0):
-        counts[crossings] += 1
+    for _, (stabilizer, crossings) in _walk(size, first, _crossing_orbit_place, (tied, 0)):
+        counts[crossings] += group_order // (1 + len(stabilizer))
     return counts
 
 
@@ -245,20 +262,25 @@ def crossing_distribution(n: int, threads: int | None = None) -> CrossingPolynom
     _check_n(n)
     size = 2 * n
     threads = _resolve_threads(threads)
-    tasks = [(size, first) for first in range(1, size)]
+    group_order, tied = _dihedral_start(size)
+    tasks = [(size, first, group_order, tied) for first in range(1, size)]
     results = _map_branches(_crossing_branch, tasks, threads)
     coeffs = [sum(col) for col in zip(*results)]
     return CrossingPolynomial(n=n, coefficients=tuple(coeffs))
+
+
+def _strict_orbit_place(partner, v, w, tied):
+    if w == v + 1 or (v == 0 and w == len(partner) - 1):
+        return None
+    return _orderly_place(partner, v, w, tied)
 
 
 def strict_count(n: int) -> int:
     """Number of diagrams with no chord joining circle-adjacent points."""
     _check_n(n)
     size = 2 * n
-
-    def place(partner, v, w, state):
-        if w == v + 1 or (v == 0 and w == size - 1):
-            return None
-        return state
-
-    return sum(1 for _ in _walk(size, None, place, True))
+    group_order, tied = _dihedral_start(size)
+    return sum(
+        group_order // (1 + len(stabilizer))
+        for _, stabilizer in _walk(size, None, _strict_orbit_place, tied)
+    )

@@ -12,6 +12,7 @@ from chorddia import (
     is_strict,
     strict_sequences,
 )
+from chorddia.classic import _crossing_transfer
 
 
 def brute_crossing_histogram(n):
@@ -65,6 +66,23 @@ class TestCrossingPolynomial:
     def test_rejects_nonpositive(self):
         with pytest.raises(DomainError):
             crossing_polynomial(0)
+
+
+class TestCrossingTransfer:
+    """The formula-free transfer count, verify's independent check of the
+    polynomial now that the oracle's crossing walk shares the orbit prune."""
+
+    def test_matches_polynomial(self):
+        for n in range(1, 21):
+            assert _crossing_transfer(n) == crossing_polynomial(n).coefficients
+
+    def test_matches_enumeration(self):
+        for n in range(1, 7):
+            assert _crossing_transfer(n) == brute_crossing_histogram(n)
+
+    def test_rejects_nonpositive(self):
+        with pytest.raises(DomainError):
+            _crossing_transfer(0)
 
 
 class TestStrictSequences:

@@ -340,6 +340,21 @@ class TestVerify:
         assert "FAIL burnside == wreath class sum (cyclic, n <= 2)" in captured.err
         assert "3 failure(s)" in captured.out
 
+    def test_transfer_count_line(self, capsys):
+        assert run(["verify", "--n-max", "4", "--oracle-max", "3"]) == 0
+        captured = capsys.readouterr()
+        assert "ok   crossing polynomial == transfer count (n <= 3)" in captured.err
+        assert "transfer count" not in captured.out
+
+    def test_transfer_count_mismatch_fails(self, capsys, monkeypatch):
+        from chorddia import classic
+
+        monkeypatch.setattr(classic, "_crossing_transfer", lambda n: (0,))
+        assert run(["verify", "--n-max", "2", "--oracle-max", "2"]) == 1
+        captured = capsys.readouterr()
+        assert "FAIL crossing polynomial == transfer count (n <= 2): n=1" in captured.err
+        assert "1 failure(s)" in captured.out
+
     @pytest.mark.parametrize("raw", ["0", "-3"])
     def test_nonpositive_oracle_cap(self, capsys, monkeypatch, raw):
         monkeypatch.setenv("CHORDDIA_ORACLE_CAP", raw)

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -291,6 +292,20 @@ class TestGenerateGroup:
         # the element cap keeps its own message when it is the tighter bound
         with pytest.raises(ResourceLimitError, match="exceeded 10 elements"):
             generate_group(gens, 4, max_elements=10)
+
+    def test_closure_elements_skip_only_their_own_check(self):
+        # the closure builds its elements without re-checking the bijections
+        # it composed; every other way in still validates
+        gens = [GroupElement.from_images([1, 0, 2, 3]), GroupElement.from_images([1, 2, 3, 0])]
+        closed = generate_group(gens, 4).elements
+        assert closed == tuple(GroupElement(g.images) for g in closed)
+        assert all(pickle.loads(pickle.dumps(g)) == g for g in closed)
+        with pytest.raises(DomainError):
+            GroupElement((0, 0))
+        swap = [g for g in closed if g.images == (1, 0, 2, 3)][0]
+        data = pickle.dumps(swap, 0).replace(b"I1\n", b"I0\n")
+        with pytest.raises(DomainError):
+            pickle.loads(data)
 
     def test_entry_bound_before_the_identity(self):
         # a single identity tuple would already pass the bound: nothing is built

@@ -3,7 +3,10 @@
 Every reference here walks all (2n-1)!! diagrams with all_diagrams and
 tests each one with the diagram-level functions (apply_symmetry,
 canonical_form, crossings, is_strict), so a prune that drops a wanted
-matching, or keeps an unwanted one, shows as a mismatch.
+matching, or keeps an unwanted one, shows as a mismatch. The crossing and
+strict paths count one diagram per dihedral orbit, weighted by the orbit
+size; besides brute force they are compared with the per-matching walks,
+with hooks, that those paths ran before.
 """
 
 from collections import Counter
@@ -25,6 +28,7 @@ from chorddia import (
     representatives,
     strict_count,
 )
+from chorddia import oracle
 from chorddia.diagrams import _walk, matchings
 from test_burnside import small_groups
 
@@ -113,6 +117,72 @@ class TestCrossingsAndStrict:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_strict_count(self, n):
         assert strict_count(n) == sum(1 for d in all_diagrams(n) if is_strict(d))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_dihedral_group_keeps_crossings_and_strictness(self, n):
+        # the premise of counting once per dihedral orbit
+        group = make_standard_group("dihedral", 2 * n)
+        for d in all_diagrams(n):
+            for g in group:
+                image = apply_symmetry(g, d)
+                assert crossings(image) == crossings(d)
+                assert is_strict(image) == is_strict(d)
+
+
+def _crossing_place(partner, v, w, crossings):
+    # every matched point strictly inside (v, w) has its partner below v
+    inside = partner[v + 1:w]
+    return crossings + len(inside) - inside.count(-1)
+
+
+def full_walk_crossings(n):
+    """Crossing histogram counting every matching once, with no orbits."""
+    counts = [0] * (n * (n - 1) // 2 + 1)
+    for _, k in _walk(2 * n, None, _crossing_place, 0):
+        counts[k] += 1
+    return tuple(counts)
+
+
+def full_walk_strict(n):
+    """Strict matchings counted one by one, with no orbits."""
+    size = 2 * n
+
+    def place(partner, v, w, state):
+        if w == v + 1 or (v == 0 and w == size - 1):
+            return None
+        return state
+
+    return sum(1 for _ in _walk(size, None, place, True))
+
+
+class TestOrbitWeightedAgainstFullWalk:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+    def test_crossings(self, n):
+        assert crossing_distribution(n).coefficients == full_walk_crossings(n)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+    def test_strict(self, n):
+        assert strict_count(n) == full_walk_strict(n)
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_one_leaf_per_dihedral_orbit(self, n, monkeypatch):
+        # a walk that reaches every matching, or the minima of a smaller
+        # group's orbits, gets the same totals but is not this path
+        leaves = []
+
+        def counting_walk(*args):
+            for leaf in _walk(*args):
+                leaves.append(tuple(leaf[0]))
+                yield leaf
+
+        monkeypatch.setattr(oracle, "_walk", counting_walk)
+        group = make_standard_group("dihedral", 2 * n)
+        crossing_distribution(n)
+        assert leaves == brute_representatives(n, group)
+        leaves.clear()
+        strict_count(n)
+        strict_minima = {canonical_form(d, group).partner for d in all_diagrams(n) if is_strict(d)}
+        assert leaves == sorted(strict_minima)
 
 
 class TestThreads:
