@@ -6,7 +6,12 @@ from __future__ import annotations
 
 import math
 
-from .errors import ConsistencyError, DomainError, Record, exact_div
+from .errors import ConsistencyError, DomainError, Record, ResourceLimitError, exact_div
+
+# crossing_polynomial's division is about n^2/2 coefficients times n passes
+# of growing integers: n = 500 takes about 14 s on a 2-vCPU machine, and
+# the time grows as about n^4.3, so n = 1000 would take minutes
+MAX_CROSSING_N = 500
 
 
 class CrossingPolynomial(Record):
@@ -62,6 +67,10 @@ def crossing_polynomial(n: int) -> CrossingPolynomial:
     """
     if n < 1:
         raise DomainError("crossing_polynomial requires n >= 1")
+    if n > MAX_CROSSING_N:
+        raise ResourceLimitError(
+            f"crossing polynomial capped at n <= {MAX_CROSSING_N}, got n = {n}"
+        )
     rhs = [0] * (n * (n + 1) // 2 + 1)
     for j in range(n + 1):
         t_nj = exact_div(
@@ -121,6 +130,33 @@ def _add_shifted(target: list[int], poly: list[int], shift: int):
         target.extend([0] * (need - len(target)))
     for c, count in enumerate(poly):
         target[c + shift] += count
+
+
+def _strict_inclusion_exclusion(n: int) -> int:
+    """Strict diagrams of order n by inclusion-exclusion over the edges of
+    the circle (the 2n-cycle) that are used as chords, with no recurrence:
+    sum over k of (-1)^k * e_k * (2n-2k-1)!!, where
+    e_k = 2n/(2n-k) * C(2n-k, k) is the number of sets of k pairwise
+    disjoint circle edges and (2n-2k-1)!! matches the points they leave.
+
+    At n = 1 the two edges of the 2-cycle are the same chord, which the
+    sum counts twice, so the one (non-strict) diagram is a special case.
+    """
+    if n < 1:
+        raise DomainError("_strict_inclusion_exclusion requires n >= 1")
+    if n == 1:
+        return 0
+    size = 2 * n
+    rest = [1]  # rest[m] = (2m-1)!!
+    for m in range(1, n + 1):
+        rest.append(rest[-1] * (2 * m - 1))
+    total = 0
+    for k in range(n + 1):
+        edge_sets = exact_div(
+            size * math.comb(size - k, k), size - k, "strict inclusion-exclusion edge sets"
+        )
+        total += (-1) ** k * edge_sets * rest[n - k]
+    return total
 
 
 def strict_sequences(n_max: int) -> StrictSequences:

@@ -41,6 +41,15 @@ def _require_order(n: int) -> int:
     return n
 
 
+def _check_threads(threads: int) -> int:
+    """Refuse a bad --threads before any work, even where no oracle runs."""
+    if threads == 1:
+        return threads  # the default: no need to load the oracle to check it
+    from . import oracle
+
+    return oracle._resolve_threads(threads)
+
+
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
@@ -110,6 +119,7 @@ def _resolve_group(args, n: int) -> PermGroup:
 # ---------------------------------------------------------------- count
 
 def _cmd_count(args) -> int:
+    threads = _check_threads(args.threads)
     n = _require_order(args.n)
     # arbitrary groups have no closed form; their default path is burnside
     method = args.method or ("burnside" if args.group_file else "formula")
@@ -126,7 +136,6 @@ def _cmd_count(args) -> int:
 
         # refused before the group is built or closed
         oracle._check_n(n)
-        threads = oracle._resolve_threads(args.threads)
         value = oracle.orbit_count(n, _resolve_group(args, n), threads=threads).orbit_count
     print(value)
     return 0
@@ -216,6 +225,7 @@ def _cmd_enumerate(args) -> int:
 # ---------------------------------------------------------------- crossings
 
 def _cmd_crossings(args) -> int:
+    threads = _check_threads(args.threads)
     n = _require_order(args.n)
     if args.method == "formula":
         from . import classic
@@ -224,7 +234,7 @@ def _cmd_crossings(args) -> int:
     else:
         from . import oracle
 
-        poly = oracle.crossing_distribution(n, threads=args.threads)
+        poly = oracle.crossing_distribution(n, threads=threads)
     if args.format == "csv":
         out = ["crossings,count"]
         out += [f"{j},{c}" for j, c in enumerate(poly.coefficients)]
@@ -261,6 +271,7 @@ def _cmd_verify(args) -> int:
     from . import burnside, classic, closed_forms, oracle
     from .groups import make_standard_group
 
+    threads = oracle._resolve_threads(args.threads)
     n_max = _require_order(args.n_max)
     cap = oracle.enumeration_cap()
     if args.oracle_max is None:
@@ -276,7 +287,6 @@ def _cmd_verify(args) -> int:
             raise ResourceLimitError(
                 f"--oracle-max {oracle_max} exceeds the enumeration cap {cap}"
             )
-    threads = args.threads
     failures = 0
 
     def report(name: str, ok: bool, detail: str = "", file=None):
@@ -389,6 +399,17 @@ def _cmd_verify(args) -> int:
             ok, detail = False, f"n={n}"
             break
     report(f"strict recurrence == strict enumeration (n <= {min(effective, 7)})", ok, detail)
+
+    # a second count of strict diagrams that needs no oracle, so it runs
+    # to n_max (on stderr, like the wreath lines)
+    ok = True
+    detail = ""
+    for n in range(1, n_max + 1):
+        got = classic._strict_inclusion_exclusion(n)
+        if got != seqs.strict[n - 1]:
+            ok, detail = False, f"n={n}: inclusion-exclusion {got} != {seqs.strict[n - 1]}"
+            break
+    report(f"strict recurrence == inclusion-exclusion (n <= {n_max})", ok, detail, sys.stderr)
 
     print(f"{failures} failure(s)" if failures else "all checks passed")
     return 1 if failures else 0

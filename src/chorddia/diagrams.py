@@ -128,6 +128,10 @@ def _walk(
     keeps state unchanged and skips nothing. Chords are placed in
     ascending order of their smaller endpoint, so when (v, w) is placed
     every point below v is matched.
+
+    A chord that leaves exactly two points unmatched forces the last
+    chord; that one is placed (and passed to place) at once, without a
+    level of its own.
     """
     if size % 2:
         raise DomainError("matchings need an even number of points")
@@ -149,6 +153,10 @@ def _walk(
         return
     # the open levels above the current one: their point, partner, state
     stack: list[tuple[int, int, object]] = []
+    # the chord placed at this stack depth leaves exactly two points; -1
+    # when the root level already places the last chord
+    last_depth = (size if first is None else size - 2) // 2 - 2
+    depth = 0
     w = v
     while True:
         w += 1
@@ -160,6 +168,7 @@ def _walk(
             if not stack:
                 return
             v, w, state = stack.pop()
+            depth -= 1
             partner[w] = -1
             continue
         partner[v] = w
@@ -173,11 +182,27 @@ def _walk(
         u = v + 1
         while u < size and partner[u] >= 0:
             u += 1
+        if depth == last_depth:
+            # the two points left take the forced chord
+            x = u + 1
+            while partner[x] >= 0:
+                x += 1
+            partner[u] = x
+            partner[x] = u
+            if place is None:
+                yield partner, child
+            else:
+                child = place(partner, u, x, child)
+                if child is not None:
+                    yield partner, child
+            partner[u] = partner[x] = partner[w] = -1
+            continue
         if u == size:
             yield partner, child
             partner[w] = -1
             continue
         stack.append((v, w, state))
+        depth += 1
         v, w, state = u, u, child
 
 

@@ -16,6 +16,18 @@ equal those of testing every one of the (2n-1)!! matchings:
   is a minimum, so the subtree is skipped. At a complete matching the
   elements still compared equal at every position are exactly the
   non-identity stabilizer.
+  Position 0 is settled from a table built once per call. p[0] is placed
+  by the first chord, and g.p[0] = g(b) for the chord {a, b} with
+  g(a) = 0, so every g compares position 0 exactly once, when that chord
+  is placed, against the same p[0]. For each chord the table holds the
+  least g(b) over the elements it settles and the elements reaching it.
+  If the least is below p[0], some g.p is smaller, which is just when the
+  per-element comparison skips; if it is above, every such g is larger
+  and dropped; if equal, the elements reaching it tie and go on, one by
+  one, from position 1, and the rest are dropped. So the decisions, and
+  the elements left at each leaf, are those of comparing every element
+  from position 0, and the hook's state holds only the few elements past
+  position 0 (the others wait there implicitly).
 - crossings and strict: both are constant on the orbits of the dihedral
   group D_2n (order 4n for n >= 2), since a rotation or reflection of the
   circle keeps interleaved chords interleaved and circle-adjacent points
@@ -40,6 +52,7 @@ multi-process runs are deterministic.
 from __future__ import annotations
 
 import os
+from collections import Counter
 
 from .classic import CrossingPolynomial
 from .diagrams import ChordDiagram, _walk
@@ -103,10 +116,41 @@ def _element_arrays(group: PermGroup) -> list[_ElementArrays]:
     return out
 
 
-def _orderly_place(partner, v, w, tied):
-    """Walker hook of the orbit paths: advance the comparison of g.p with
-    p for each element still tied, dropping those whose image is larger
-    and skipping the subtree once one is smaller.
+# table[a][b]: (least image, elements reaching it) or None; see _position0_table
+_Table = list[list[tuple[int, list] | None]]
+
+
+def _position0_table(size: int, elems: list[_ElementArrays]) -> _Table | None:
+    """Position-0 table of the orbit walk, or None for the trivial group.
+
+    Element g compares g.p with p at position 0 exactly when the chord
+    {a, b} with g(a) = 0 is placed, and g.p[0] = g(b) then. So
+    table[a][b] (and table[b][a], the same entry) holds the least g(b)
+    over the elements with g(a) = 0 or g(b) = 0 (with a and b swapped),
+    and the elements that reach it, each as (images, inverse, 0).
+    """
+    if not elems:
+        return None
+    table: _Table = [[None] * size for _ in range(size)]
+    for img, inv in elems:
+        a = inv[0]
+        row = table[a]
+        for b in range(size):
+            if b == a:
+                continue
+            image = img[b]
+            entry = row[b]
+            if entry is None or image < entry[0]:
+                entry = row[b] = table[b][a] = (image, [])
+            if image == entry[0]:
+                entry[1].append((img, inv, 0))
+    return table
+
+
+def _orderly_advance(partner, v, w, tied):
+    """Advance the comparison of g.p with p for each element in tied,
+    dropping those whose image is larger and returning None once one is
+    smaller.
 
     tied holds (images, inverse, r) with g.p and p equal below position r;
     the comparison waits at r until p[r] and p[inverse[r]] are placed.
@@ -135,23 +179,43 @@ def _orderly_place(partner, v, w, tied):
     return kept
 
 
-def _orderly_walk(size: int, first: int | None, elems: list[_ElementArrays]):
+def _orderly_hook(table: _Table):
+    """Walker hook of the orbit paths over one position-0 table. Its state
+    is the list of elements past position 0 that still compare equal; the
+    elements still waiting at position 0 are implicit (those whose chord
+    {g^-1(0), .} is not placed yet)."""
+
+    def place(partner, v, w, carried):
+        entry = table[v][w]
+        if entry is not None and entry[0] <= partner[0]:
+            if entry[0] < partner[0]:
+                return None  # some g.p is already smaller
+            # the elements that tie at position 0 go on (they are stored at
+            # r = 0, so the advance passes the tie and moves to position 1);
+            # the rest of those this chord settles are larger and drop out
+            return _orderly_advance(partner, v, w, carried + entry[1])
+        if not carried:
+            return carried  # nothing to compare: the state is unchanged
+        return _orderly_advance(partner, v, w, carried)
+
+    return place
+
+
+def _orderly_walk(size: int, first: int | None, table: _Table | None):
     """(partner, non-identity stabilizer) for each orbit minimum, ascending."""
-    if not elems:
+    if table is None:
         # the trivial group: every matching is a minimum, so walk hook-free
         return _walk(size, first, None, ())
-    return _walk(size, first, _orderly_place, [(img, inv, 0) for img, inv in elems])
+    return _walk(size, first, _orderly_hook(table), [])
 
 
 def _orbit_branch(args) -> tuple[int, dict[int, int]]:
-    size, first, elems, group_order = args
-    count = 0
-    histogram: dict[int, int] = {}
-    for _, stabilizer in _orderly_walk(size, first, elems):
-        count += 1
-        orbit_size = group_order // (1 + len(stabilizer))
-        histogram[orbit_size] = histogram.get(orbit_size, 0) + 1
-    return count, histogram
+    size, first, table, group_order = args
+    # leaves by the size of their non-identity stabilizer; an orbit has
+    # |G| / |Stab| elements, so distinct sizes give distinct orbit sizes
+    leaves = Counter(len(stabilizer) for _, stabilizer in _orderly_walk(size, first, table))
+    histogram = {group_order // (1 + k): count for k, count in leaves.items()}
+    return sum(leaves.values()), histogram
 
 
 def _resolve_threads(threads: int | None) -> int:
@@ -179,8 +243,8 @@ def orbit_count(n: int, group: PermGroup, threads: int | None = None) -> OrbitSu
     if group.size != size:
         raise DomainError(f"group acts on {group.size} points, expected {size}")
     threads = _resolve_threads(threads)
-    elems = _element_arrays(group)
-    tasks = [(size, first, elems, group.order) for first in range(1, size)]
+    table = _position0_table(size, _element_arrays(group))
+    tasks = [(size, first, table, group.order) for first in range(1, size)]
     results = _map_branches(_orbit_branch, tasks, threads)
     total = 0
     histogram: dict[int, int] = {}
@@ -226,33 +290,34 @@ def representatives(n: int, group: PermGroup) -> list[ChordDiagram]:
     size = 2 * n
     if group.size != size:
         raise DomainError(f"group acts on {group.size} points, expected {size}")
+    table = _position0_table(size, _element_arrays(group))
     # the walk ascends lexicographically, so the list comes out sorted
-    return [
-        ChordDiagram(tuple(partner))
-        for partner, _ in _orderly_walk(size, None, _element_arrays(group))
-    ]
+    return [ChordDiagram(tuple(partner)) for partner, _ in _orderly_walk(size, None, table)]
 
 
-def _dihedral_start(size: int) -> tuple[int, list]:
-    """Order of D_2n on size points and the orbits' initial hook state."""
+def _dihedral_start(size: int) -> tuple[int, _Table]:
+    """Order of D_2n on size points and its position-0 table."""
     group = make_standard_group("dihedral", size)
-    return group.order, [(img, inv, 0) for img, inv in _element_arrays(group)]
-
-
-def _crossing_orbit_place(partner, v, w, state):
-    tied = _orderly_place(partner, v, w, state[0])
-    if tied is None:
-        return None
-    # every matched point strictly inside (v, w) has its partner below v
-    inside = partner[v + 1:w]
-    return tied, state[1] + len(inside) - inside.count(-1)
+    table = _position0_table(size, _element_arrays(group))
+    assert table is not None  # D_2n is never trivial on 2n >= 2 points
+    return group.order, table
 
 
 def _crossing_branch(args) -> list[int]:
-    size, first, group_order, tied = args
+    size, first, group_order, table = args
     n = size // 2
+    orderly = _orderly_hook(table)
+
+    def place(partner, v, w, state):
+        tied = orderly(partner, v, w, state[0])
+        if tied is None:
+            return None
+        # every matched point strictly inside (v, w) has its partner below v
+        inside = partner[v + 1:w]
+        return tied, state[1] + len(inside) - inside.count(-1)
+
     counts = [0] * (n * (n - 1) // 2 + 1)
-    for _, (stabilizer, crossings) in _walk(size, first, _crossing_orbit_place, (tied, 0)):
+    for _, (stabilizer, crossings) in _walk(size, first, place, ([], 0)):
         counts[crossings] += group_order // (1 + len(stabilizer))
     return counts
 
@@ -262,25 +327,26 @@ def crossing_distribution(n: int, threads: int | None = None) -> CrossingPolynom
     _check_n(n)
     size = 2 * n
     threads = _resolve_threads(threads)
-    group_order, tied = _dihedral_start(size)
-    tasks = [(size, first, group_order, tied) for first in range(1, size)]
+    group_order, table = _dihedral_start(size)
+    tasks = [(size, first, group_order, table) for first in range(1, size)]
     results = _map_branches(_crossing_branch, tasks, threads)
     coeffs = [sum(col) for col in zip(*results)]
     return CrossingPolynomial(n=n, coefficients=tuple(coeffs))
-
-
-def _strict_orbit_place(partner, v, w, tied):
-    if w == v + 1 or (v == 0 and w == len(partner) - 1):
-        return None
-    return _orderly_place(partner, v, w, tied)
 
 
 def strict_count(n: int) -> int:
     """Number of diagrams with no chord joining circle-adjacent points."""
     _check_n(n)
     size = 2 * n
-    group_order, tied = _dihedral_start(size)
+    group_order, table = _dihedral_start(size)
+    orderly = _orderly_hook(table)
+
+    def place(partner, v, w, tied):
+        if w == v + 1 or (v == 0 and w == size - 1):
+            return None
+        return orderly(partner, v, w, tied)
+
     return sum(
         group_order // (1 + len(stabilizer))
-        for _, stabilizer in _walk(size, None, _strict_orbit_place, tied)
+        for _, stabilizer in _walk(size, None, place, [])
     )

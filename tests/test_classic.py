@@ -4,6 +4,7 @@ import pytest
 
 from chorddia import (
     DomainError,
+    ResourceLimitError,
     all_diagrams,
     catalan_noncrossing,
     crossing_polynomial,
@@ -12,7 +13,8 @@ from chorddia import (
     is_strict,
     strict_sequences,
 )
-from chorddia.classic import _crossing_transfer
+from chorddia import classic
+from chorddia.classic import _crossing_transfer, _strict_inclusion_exclusion
 
 
 def brute_crossing_histogram(n):
@@ -67,6 +69,13 @@ class TestCrossingPolynomial:
         with pytest.raises(DomainError):
             crossing_polynomial(0)
 
+    def test_work_bound(self, monkeypatch):
+        assert classic.MAX_CROSSING_N == 500
+        monkeypatch.setattr(classic, "MAX_CROSSING_N", 4)
+        assert crossing_polynomial(4).total == diagram_count(4)
+        with pytest.raises(ResourceLimitError, match="capped at n <= 4"):
+            crossing_polynomial(5)
+
 
 class TestCrossingTransfer:
     """The formula-free transfer count, verify's independent check of the
@@ -118,3 +127,25 @@ class TestStrictSequences:
     def test_rejects_nonpositive(self):
         with pytest.raises(DomainError):
             strict_sequences(0)
+
+
+class TestStrictInclusionExclusion:
+    """A strict count that shares nothing with the recurrence, for verify."""
+
+    def test_matches_recurrence(self):
+        seqs = strict_sequences(300)
+        for n in range(1, 301):
+            assert _strict_inclusion_exclusion(n) == seqs.strict[n - 1]
+
+    def test_matches_enumeration(self):
+        for n in range(1, 7):
+            brute = sum(1 for d in all_diagrams(n) if is_strict(d))
+            assert _strict_inclusion_exclusion(n) == brute
+
+    def test_n_one_is_special(self):
+        # the sum alone gives 1 - 2 = -1: the 2-cycle's two edges coincide
+        assert _strict_inclusion_exclusion(1) == 0
+
+    def test_rejects_nonpositive(self):
+        with pytest.raises(DomainError):
+            _strict_inclusion_exclusion(0)

@@ -309,6 +309,48 @@ class TestCrossingsCommand:
         assert oracle_out == formula_out
 
 
+    def test_formula_work_bound(self, capsys, monkeypatch):
+        from chorddia import classic
+
+        monkeypatch.setattr(classic, "MAX_CROSSING_N", 3)
+        assert run(["crossings", "--n", "3"]) == 0
+        capsys.readouterr()
+        assert run(["crossings", "--n", "4"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "crossing polynomial capped at n <= 3" in captured.err
+
+    def test_huge_n_exits_before_allocating(self):
+        # n = 100000 would allocate 5 * 10^9 coefficient slots
+        proc = run_module("crossings", "--n", "100000", address_space=600 * 2**20)
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert "crossing polynomial capped at n <= 500" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
+class TestThreadsFlag:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--n-max", "3", "--threads", "0"],
+            ["count", "--n", "3", "--threads", "0"],
+            ["count", "--n", "3", "--method", "burnside", "--threads", "-2"],
+            ["crossings", "--n", "3", "--threads", "-1"],
+        ],
+        ids=["verify", "count-formula", "count-burnside", "crossings-formula"],
+    )
+    def test_refused_before_any_work(self, capsys, argv):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "threads must be >= 1" in captured.err
+
+    def test_two_threads_accepted(self, capsys):
+        assert run(["count", "--n", "3", "--threads", "2"]) == 0
+        assert capsys.readouterr().out == "5\n"
+
+
 class TestStrictCommand:
     def test_csv(self, capsys):
         assert run(["strict", "--n-max", "4"]) == 0
@@ -353,6 +395,24 @@ class TestVerify:
         assert run(["verify", "--n-max", "2", "--oracle-max", "2"]) == 1
         captured = capsys.readouterr()
         assert "FAIL crossing polynomial == transfer count (n <= 2): n=1" in captured.err
+        assert "1 failure(s)" in captured.out
+
+    def test_strict_inclusion_exclusion_line(self, capsys):
+        assert run(["verify", "--n-max", "5", "--oracle-max", "2"]) == 0
+        captured = capsys.readouterr()
+        assert "ok   strict recurrence == inclusion-exclusion (n <= 5)" in captured.err
+        assert "inclusion-exclusion" not in captured.out
+
+    def test_strict_inclusion_exclusion_mismatch_fails(self, capsys, monkeypatch):
+        from chorddia import classic
+
+        monkeypatch.setattr(classic, "_strict_inclusion_exclusion", lambda n: 1)
+        assert run(["verify", "--n-max", "3", "--oracle-max", "1"]) == 1
+        captured = capsys.readouterr()
+        assert (
+            "FAIL strict recurrence == inclusion-exclusion (n <= 3):"
+            " n=1: inclusion-exclusion 1 != 0" in captured.err
+        )
         assert "1 failure(s)" in captured.out
 
     @pytest.mark.parametrize("raw", ["0", "-3"])

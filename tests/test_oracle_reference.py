@@ -9,6 +9,7 @@ size; besides brute force they are compared with the per-matching walks,
 with hooks, that those paths ran before.
 """
 
+import math
 from collections import Counter
 
 import pytest
@@ -31,6 +32,15 @@ from chorddia import (
 from chorddia import oracle
 from chorddia.diagrams import _walk, matchings
 from test_burnside import small_groups
+
+
+def _prefixes(size):
+    """Every nonempty partial matching the walk reaches, as chord lists."""
+    out = []
+    for p in matchings(size):
+        chords = [(v, w) for v, w in enumerate(p) if v < w]
+        out += [tuple(chords[:k]) for k in range(1, len(chords) + 1)]
+    return set(out)
 
 
 def brute_representatives(n, group):
@@ -98,6 +108,143 @@ class TestWalk:
     def test_matchings_errors(self, size, first):
         with pytest.raises(DomainError):
             list(matchings(size, first))
+
+    @staticmethod
+    def recording(chords):
+        def place(partner, v, w, state):
+            chords.append((v, w))
+            return state
+
+        return place
+
+    def test_size_two(self):
+        for first in (None, 1):
+            chords = []
+            walked = [(list(p), s) for p, s in _walk(2, first, self.recording(chords), "s")]
+            assert walked == [([1, 0], "s")]
+            assert chords == [(0, 1)]
+
+    @pytest.mark.parametrize("first", [1, 2, 3])
+    def test_size_four_root_chord_leaves_two(self, first):
+        # the chord (0, first) leaves two points, so one level places the last
+        chords = []
+        walked = [tuple(p) for p, _ in _walk(4, first, self.recording(chords), 0)]
+        assert walked == [tuple(p) for p in matchings(4, first)]
+        assert len(walked) == 1
+        rest = [u for u in range(1, 4) if u != first]
+        assert chords == [(0, first), tuple(rest)]
+
+    @pytest.mark.parametrize("size", [2, 4, 6, 8])
+    def test_no_hook_and_none_state_still_yields(self, size):
+        # matchings() walks with place=None and state None; a forced last
+        # chord must not read that None as a skipped subtree
+        walked = [(tuple(p), s) for p, s in _walk(size, None, None, None)]
+        assert len(walked) == math.prod(range(1, size, 2))
+        assert walked == [(tuple(p), None) for p, _ in _walk(size, None, None, "s")]
+
+    @pytest.mark.parametrize("size", [4, 6, 8])
+    def test_forced_chord_goes_through_the_hook(self, size):
+        # rejecting every chord that leaves no point unmatched skips all
+        def place(partner, v, w, state):
+            return None if -1 not in partner else state
+
+        assert list(_walk(size, None, place, 0)) == []
+        for first in range(1, size):
+            assert list(_walk(size, first, place, 0)) == []
+
+    def test_hook_calls_count_every_chord_placed(self):
+        # each partial matching reached is one call, the forced chord's too
+        chords = []
+        leaves = sum(1 for _ in _walk(8, None, self.recording(chords), 0))
+        assert leaves == 105
+        assert len(chords) == len(_prefixes(8)) == 7 + 7 * 5 + 105 + 105
+
+
+def per_element_orderly_place(partner, v, w, tied):
+    """The orbit paths' hook before the position-0 table: every element
+    starts tied at position 0 and is compared one by one. A copy, not
+    oracle._orderly_advance, so that a change there cannot move the
+    reference with it."""
+    size = len(partner)
+    kept = []
+    for elem in tied:
+        img, inv, r = elem
+        if r != v and r != w and inv[r] != v and inv[r] != w:
+            kept.append(elem)
+            continue
+        while r < size:
+            a = partner[r]
+            x = partner[inv[r]]
+            if a < 0 or x < 0:
+                kept.append((img, inv, r))
+                break
+            b = img[x]
+            if b != a:
+                if b < a:
+                    return None
+                break
+            r += 1
+        else:
+            kept.append((img, inv, r))
+    return kept
+
+
+def orderly_trace(size, place, state):
+    """Leaves with their stabilizers' images, and the number of hook calls."""
+    calls = 0
+
+    def counted(partner, v, w, s):
+        nonlocal calls
+        calls += 1
+        return place(partner, v, w, s)
+
+    leaves = [
+        (tuple(p), sorted(img for img, _, _ in stabilizer))
+        for p, stabilizer in _walk(size, None, counted, state)
+    ]
+    return leaves, calls
+
+
+def check_same_decisions(group):
+    size = group.size
+    elems = oracle._element_arrays(group)
+    table = oracle._position0_table(size, elems)
+    if table is None:
+        assert elems == []
+        return
+    expected = orderly_trace(
+        size, per_element_orderly_place, [(img, inv, 0) for img, inv in elems]
+    )
+    assert orderly_trace(size, oracle._orderly_hook(table), []) == expected
+
+
+class TestPositionZeroTable:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("kind", ["cyclic", "dihedral"])
+    def test_same_decisions_as_per_element(self, kind, n):
+        check_same_decisions(make_standard_group(kind, 2 * n))
+
+    def test_trivial_group_has_no_table(self):
+        group = make_standard_group("identity", 8)
+        assert oracle._position0_table(8, oracle._element_arrays(group)) is None
+
+    def test_entries(self):
+        # on 4 points the rotation g = (0 1 2 3) maps 3 to 0; of the chords
+        # {3, b} its image at position 0 is g(b)
+        g = make_standard_group("cyclic", 4).elements[1]
+        img, inv = g.images, g.inverse().images
+        assert img == (1, 2, 3, 0)
+        table = oracle._position0_table(4, [(img, inv)])
+        assert [table[3][b][0] for b in range(3)] == [1, 2, 3]
+        assert table[0][3] is table[3][0]
+        assert table[0][1] is None and table[1][2] is None
+        assert table[3][1][1] == [(img, inv, 0)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_groups())
+def test_position_zero_table_on_random_groups(group):
+    check_same_decisions(group)
 
 
 class TestStandardGroups:
