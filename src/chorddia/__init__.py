@@ -10,7 +10,7 @@ classical whole-set counts (noncrossing diagrams, the crossing-number
 distribution, strict diagrams) are included as well.
 """
 
-import importlib
+import sys
 
 __version__ = "0.1.0"
 
@@ -95,15 +95,23 @@ _EXPORTS = {
 __all__ = sorted(_EXPORTS)
 
 
+def _submodule(name: str):
+    # __import__ takes the interpreter's own import path, which
+    # `python -X importtime` logs; importlib.import_module's is not logged
+    __import__(f"{__name__}.{name}")
+    return sys.modules[f"{__name__}.{name}"]
+
+
 def __getattr__(name: str):
     if name in _EXPORTS.values():
-        # a submodule, as an eager `import chorddia` used to bind them all
-        return importlib.import_module(f"{__name__}.{name}")
+        # a submodule, as an eager `import chorddia` used to bind them all;
+        # also how a handler's `from . import oracle` resolves it
+        return _submodule(name)
     try:
         module = _EXPORTS[name]
     except KeyError:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
-    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    value = getattr(_submodule(module), name)
     globals()[name] = value
     return value
 

@@ -12,6 +12,10 @@ from .errors import ConsistencyError, DomainError, Record, ResourceLimitError, e
 # of growing integers: n = 500 takes about 14 s on a 2-vCPU machine, and
 # the time grows as about n^4.3, so n = 1000 would take minutes
 MAX_CROSSING_N = 500
+# strict_sequences keeps all 2 * n_max values, of up to about n log10(2n/e)
+# digits each: `strict --n-max 4000` takes about 8 s and 190 MB on a 2-vCPU
+# machine, growing as about n^3 and n^2 (6000 takes 29 s and 430 MB)
+MAX_STRICT_N = 4000
 
 
 class CrossingPolynomial(Record):
@@ -166,6 +170,10 @@ def strict_sequences(n_max: int) -> StrictSequences:
     per-order counts are the first differences."""
     if n_max < 1:
         raise DomainError("strict_sequences requires n_max >= 1")
+    if n_max > MAX_STRICT_N:
+        raise ResourceLimitError(
+            f"strict sequences capped at n <= {MAX_STRICT_N}, got n = {n_max}"
+        )
     cumulative = [0, 1]
     for n in range(3, n_max + 1):
         cumulative.append((2 * n - 1) * cumulative[-1] + cumulative[-2])

@@ -36,6 +36,14 @@ class ChordDiagram(Record):
         return hash((self.partner,))
 
     @classmethod
+    def _unchecked(cls, partner: tuple[int, ...]) -> "ChordDiagram":
+        """A diagram on a partner array that is a matching by construction
+        (the oracle's walk built it), without checking it again."""
+        d = object.__new__(cls)
+        object.__setattr__(d, "partner", partner)
+        return d
+
+    @classmethod
     def from_chords(cls, chords: Sequence[tuple[int, int]], size: int | None = None) -> "ChordDiagram":
         """Build from 0-based endpoint pairs."""
         if size is None:
@@ -75,6 +83,13 @@ class ChordDiagram(Record):
 
     def __str__(self):
         return " ".join(f"({a + 1},{b + 1})" for a, b in self.chords())
+
+
+def _json_line(partner: tuple[int, ...]) -> str:
+    """json.dumps(ChordDiagram(partner).to_json_dict()) and a newline,
+    written straight from the partner array."""
+    chords = ", ".join([f"[{v + 1}, {w + 1}]" for v, w in enumerate(partner) if v < w])
+    return f'{{"n": {len(partner) // 2}, "chords": [{chords}]}}\n'
 
 
 def apply_symmetry(g: GroupElement, diagram: ChordDiagram) -> ChordDiagram:
@@ -129,33 +144,35 @@ def _walk(
     ascending order of their smaller endpoint, so when (v, w) is placed
     every point below v is matched.
 
-    A chord that leaves exactly two points unmatched forces the last
-    chord; that one is placed (and passed to place) at once, without a
-    level of its own.
+    The last two chords have no level of their own: once four points
+    a < b < c < d are left, a is joined to b, c and d in turn, and the
+    other two take the forced chord. Both chords still go through place,
+    in that order.
     """
     if size % 2:
         raise DomainError("matchings need an even number of points")
     partner = [-1] * size
+    left = size  # unmatched points
     if first is not None:
         if not 1 <= first < size:
             raise DomainError("first_partner must be in [1, size)")
         partner[0] = first
         partner[first] = 0
+        left -= 2
         if place is not None:
             state = place(partner, 0, first, state)
             if state is None:
                 return
-    v = 0
-    while v < size and partner[v] >= 0:
-        v += 1
-    if v >= size:
-        yield partner, state
+    if left < 6:
+        yield from _walk_rest(partner, place, state)
         return
+    v = 0
+    while partner[v] >= 0:
+        v += 1
     # the open levels above the current one: their point, partner, state
     stack: list[tuple[int, int, object]] = []
-    # the chord placed at this stack depth leaves exactly two points; -1
-    # when the root level already places the last chord
-    last_depth = (size if first is None else size - 2) // 2 - 2
+    # the chord placed at this stack depth leaves the last four points
+    tail_depth = left // 2 - 3
     depth = 0
     w = v
     while True:
@@ -179,31 +196,71 @@ def _walk(
             if child is None:
                 partner[w] = -1
                 continue
-        u = v + 1
-        while u < size and partner[u] >= 0:
-            u += 1
-        if depth == last_depth:
-            # the two points left take the forced chord
-            x = u + 1
-            while partner[x] >= 0:
-                x += 1
-            partner[u] = x
-            partner[x] = u
-            if place is None:
-                yield partner, child
-            else:
-                child = place(partner, u, x, child)
-                if child is not None:
-                    yield partner, child
-            partner[u] = partner[x] = partner[w] = -1
+        if depth != tail_depth:
+            u = v + 1
+            while partner[u] >= 0:
+                u += 1
+            stack.append((v, w, state))
+            depth += 1
+            v, w, state = u, u, child
             continue
-        if u == size:
+        # the last four points, a < b < c < d: a takes b, c, d in turn
+        a = v + 1
+        while partner[a] >= 0:
+            a += 1
+        b = a + 1
+        while partner[b] >= 0:
+            b += 1
+        c = b + 1
+        while partner[c] >= 0:
+            c += 1
+        d = c + 1
+        while partner[d] >= 0:
+            d += 1
+        if place is None:
+            # {a, b} {c, d}, then {a, c} {b, d}, then {a, d} {b, c}
+            partner[a], partner[b], partner[c], partner[d] = b, a, d, c
             yield partner, child
-            partner[w] = -1
+            partner[a], partner[b], partner[c], partner[d] = c, d, a, b
+            yield partner, child
+            partner[a], partner[b], partner[c], partner[d] = d, c, b, a
+            yield partner, child
+        else:
+            for x, y, z in ((b, c, d), (c, b, d), (d, b, c)):
+                partner[a] = x
+                partner[x] = a
+                last = place(partner, a, x, child)
+                if last is not None:
+                    partner[y] = z
+                    partner[z] = y
+                    last = place(partner, y, z, last)
+                    if last is not None:
+                        yield partner, last
+                    partner[y] = partner[z] = -1
+                partner[x] = -1
+        partner[a] = partner[b] = partner[c] = partner[d] = partner[w] = -1
+
+
+def _walk_rest(partner: list[int], place: Callable | None, state):
+    """_walk's recursive form, for the at most four points left at its root
+    (too few for the loop's levels)."""
+    size = len(partner)
+    v = 0
+    while v < size and partner[v] >= 0:
+        v += 1
+    if v == size:
+        yield partner, state
+        return
+    for w in range(v + 1, size):
+        if partner[w] >= 0:
             continue
-        stack.append((v, w, state))
-        depth += 1
-        v, w, state = u, u, child
+        partner[v] = w
+        partner[w] = v
+        child = state if place is None else place(partner, v, w, state)
+        if place is None or child is not None:
+            yield from _walk_rest(partner, place, child)
+        partner[w] = -1
+    partner[v] = -1
 
 
 def matchings(size: int, first_partner: int | None = None) -> Iterator[list[int]]:

@@ -4,9 +4,11 @@ Nothing here is derived from the counting formulas, so agreement between
 the two is a real check. Every path runs one walker, diagrams._walk, which
 builds each matching chord by chord in the order of diagrams.all_diagrams
 (chord (v, w) is placed when v is the smallest unmatched point) and lets a
-hook carry state down the walk or skip a subtree. A subtree is skipped
-only when no matching below it can pass the path's test, so the results
-equal those of testing every one of the (2n-1)!! matchings:
+hook carry state down the walk or skip a subtree. The walker places the
+last two chords inline, without a level of their own, but the hook still
+sees both, in order. A subtree is skipped only when no matching below it
+can pass the path's test, so the results equal those of testing every one
+of the (2n-1)!! matchings:
 
 - orbits: a diagram is counted iff it is the lexicographic minimum of its
   orbit (no global dedup set). For each non-identity g the hook compares
@@ -44,9 +46,24 @@ equal those of testing every one of the (2n-1)!! matchings:
   chord onto one of its points, inconsistently with what is placed;
   every matching reached is then fixed by g.
 
-The walk can be split into the 2n-1 independent branches fixed by the
-partner of point 0; branch results merge by plain addition, so
-multi-process runs are deterministic.
+Every orbit path runs one function, _orbit_walk(group, step, leaf): the
+orbits' hook, then an optional per-path step (the crossing count, the
+strict prune) on each placed chord, and at each orbit minimum a leaf that
+maps its partner array, its stabilizer and the step's state to a key,
+counted over all minima. orbit_count counts minima by stabilizer size,
+representatives keeps each minimum's partner array, and the crossing and
+strict paths weight each key by its orbit size. With no step _orbit_walk
+passes the orbits' hook to the walker as it is.
+
+The census (_dihedral_census) is the walk verify runs for each n <= 7: one
+walk of the D_2n orbit minima whose step carries the crossing count and
+whether every chord so far is strict, which gives the orbit count, the
+orbit-size histogram, the crossing histogram and the strict count
+together, in place of three walks.
+
+The walk is split into the 2n-1 independent branches fixed by the partner
+of point 0. Each branch returns its Counter of keys and the Counters add
+up, so multi-process runs are deterministic.
 """
 
 from __future__ import annotations
@@ -105,6 +122,11 @@ def _check_n(n: int):
         raise ResourceLimitError(
             f"oracle capped at n <= {cap} ({CAP_ENV_VAR} raises it, hard max {HARD_CAP})"
         )
+
+
+def _check_points(n: int, group: PermGroup):
+    if group.size != 2 * n:
+        raise DomainError(f"group acts on {group.size} points, expected {2 * n}")
 
 
 def _element_arrays(group: PermGroup) -> list[_ElementArrays]:
@@ -201,23 +223,6 @@ def _orderly_hook(table: _Table):
     return place
 
 
-def _orderly_walk(size: int, first: int | None, table: _Table | None):
-    """(partner, non-identity stabilizer) for each orbit minimum, ascending."""
-    if table is None:
-        # the trivial group: every matching is a minimum, so walk hook-free
-        return _walk(size, first, None, ())
-    return _walk(size, first, _orderly_hook(table), [])
-
-
-def _orbit_branch(args) -> tuple[int, dict[int, int]]:
-    size, first, table, group_order = args
-    # leaves by the size of their non-identity stabilizer; an orbit has
-    # |G| / |Stab| elements, so distinct sizes give distinct orbit sizes
-    leaves = Counter(len(stabilizer) for _, stabilizer in _orderly_walk(size, first, table))
-    histogram = {group_order // (1 + k): count for k, count in leaves.items()}
-    return sum(leaves.values()), histogram
-
-
 def _resolve_threads(threads: int | None) -> int:
     if threads is None:
         threads = 1
@@ -236,27 +241,76 @@ def _map_branches(worker, tasks, threads: int):
         return pool.map(worker, tasks, chunksize=1)
 
 
+def _walk_branch(args) -> Counter:
+    """Counter of leaf(partner, stabilizer, state) over the orbit minima
+    in the branch with point 0 joined to first."""
+    size, first, table, step, start, leaf = args
+    if table is None:
+        # the trivial group: every matching is a minimum
+        return Counter(leaf(p, (), state) for p, state in _walk(size, first, step, start))
+    orderly = _orderly_hook(table)
+    if step is None:
+        return Counter(leaf(p, tied, None) for p, tied in _walk(size, first, orderly, []))
+
+    def place(partner, v, w, state):
+        tied = orderly(partner, v, w, state[0])
+        if tied is None:
+            return None
+        carried = step(partner, v, w, state[1])
+        return None if carried is None else (tied, carried)
+
+    return Counter(
+        leaf(p, tied, carried) for p, (tied, carried) in _walk(size, first, place, ([], start))
+    )
+
+
+def _orbit_walk(group: PermGroup, step, leaf, start=None, threads: int = 1) -> Counter:
+    """Counter of leaf(partner, stabilizer, state) over the minima of the
+    group's orbits, stabilizer being the non-identity stabilizer's
+    elements. step(partner, v, w, state), when given, runs after the
+    orderly prune on each placed chord, carrying state from start and
+    skipping the subtree where it returns None. Both step and leaf are
+    module-level functions, so that a worker pool can pickle them."""
+    size = group.size
+    table = _position0_table(size, _element_arrays(group))
+    tasks = [(size, first, table, step, start, leaf) for first in range(1, size)]
+    total: Counter = Counter()
+    # the branches come back in order, so keys keep the walk's ascending order
+    for counts in _map_branches(_walk_branch, tasks, threads):
+        total.update(counts)
+    return total
+
+
+def _stabilizer_size(partner, stabilizer, state) -> int:
+    return len(stabilizer)
+
+
+def _partner_tuple(partner, stabilizer, state) -> tuple[int, ...]:
+    return tuple(partner)
+
+
+def _stabilizer_size_and_state(partner, stabilizer, state) -> tuple[int, object]:
+    return len(stabilizer), state
+
+
+def _orbit_sizes(group_order: int, by_stabilizer: Counter) -> dict[int, int]:
+    """Orbit-size histogram from the minima counted by their non-identity
+    stabilizer's size k: an orbit has |G| / (1 + k) elements, so distinct
+    k give distinct orbit sizes."""
+    return dict(sorted((group_order // (1 + k), count) for k, count in by_stabilizer.items()))
+
+
 def orbit_count(n: int, group: PermGroup, threads: int | None = None) -> OrbitSummary:
     """Exact orbit count and orbit-size histogram by full enumeration."""
     _check_n(n)
-    size = 2 * n
-    if group.size != size:
-        raise DomainError(f"group acts on {group.size} points, expected {size}")
+    _check_points(n, group)
     threads = _resolve_threads(threads)
-    table = _position0_table(size, _element_arrays(group))
-    tasks = [(size, first, table, group.order) for first in range(1, size)]
-    results = _map_branches(_orbit_branch, tasks, threads)
-    total = 0
-    histogram: dict[int, int] = {}
-    for count, hist in results:
-        total += count
-        for orbit_size, k in hist.items():
-            histogram[orbit_size] = histogram.get(orbit_size, 0) + k
+    leaves = _orbit_walk(group, None, _stabilizer_size, threads=threads)
     return OrbitSummary(
         n=n,
         group_order=group.order,
-        orbit_count=total,
-        orbit_size_histogram=dict(sorted(histogram.items())),
+        orbit_count=sum(leaves.values()),
+        orbit_size_histogram=_orbit_sizes(group.order, leaves),
     )
 
 
@@ -287,66 +341,74 @@ def fixed_diagram_count(n: int, g: GroupElement) -> int:
 def representatives(n: int, group: PermGroup) -> list[ChordDiagram]:
     """One canonical representative per orbit, sorted by partner array."""
     _check_n(n)
-    size = 2 * n
-    if group.size != size:
-        raise DomainError(f"group acts on {group.size} points, expected {size}")
-    table = _position0_table(size, _element_arrays(group))
+    _check_points(n, group)
     # the walk ascends lexicographically, so the list comes out sorted
-    return [ChordDiagram(tuple(partner)) for partner, _ in _orderly_walk(size, None, table)]
+    return [ChordDiagram._unchecked(p) for p in _orbit_walk(group, None, _partner_tuple)]
 
 
-def _dihedral_start(size: int) -> tuple[int, _Table]:
-    """Order of D_2n on size points and its position-0 table."""
-    group = make_standard_group("dihedral", size)
-    table = _position0_table(size, _element_arrays(group))
-    assert table is not None  # D_2n is never trivial on 2n >= 2 points
-    return group.order, table
+def _crossing_step(partner, v, w, crossings: int) -> int:
+    # every matched point strictly inside (v, w) has its partner below v
+    inside = partner[v + 1:w]
+    return crossings + len(inside) - inside.count(-1)
 
 
-def _crossing_branch(args) -> list[int]:
-    size, first, group_order, table = args
-    n = size // 2
-    orderly = _orderly_hook(table)
+def _strict_step(partner, v, w, state):
+    # a chord joining circle-adjacent points makes a diagram not strict
+    if w == v + 1 or (v == 0 and w == len(partner) - 1):
+        return None
+    return state
 
-    def place(partner, v, w, state):
-        tied = orderly(partner, v, w, state[0])
-        if tied is None:
-            return None
-        # every matched point strictly inside (v, w) has its partner below v
-        inside = partner[v + 1:w]
-        return tied, state[1] + len(inside) - inside.count(-1)
 
-    counts = [0] * (n * (n - 1) // 2 + 1)
-    for _, (stabilizer, crossings) in _walk(size, first, place, ([], 0)):
-        counts[crossings] += group_order // (1 + len(stabilizer))
-    return counts
+def _census_step(partner, v, w, state: tuple[int, bool]) -> tuple[int, bool]:
+    """_crossing_step's count, and whether _strict_step has passed every chord."""
+    crossings, strict = state
+    inside = partner[v + 1:w]
+    adjacent = w == v + 1 or (v == 0 and w == len(partner) - 1)
+    return crossings + len(inside) - inside.count(-1), strict and not adjacent
 
 
 def crossing_distribution(n: int, threads: int | None = None) -> CrossingPolynomial:
     """Histogram of diagrams by crossing number, by direct counting."""
     _check_n(n)
-    size = 2 * n
     threads = _resolve_threads(threads)
-    group_order, table = _dihedral_start(size)
-    tasks = [(size, first, group_order, table) for first in range(1, size)]
-    results = _map_branches(_crossing_branch, tasks, threads)
-    coeffs = [sum(col) for col in zip(*results)]
+    group = make_standard_group("dihedral", 2 * n)
+    leaves = _orbit_walk(group, _crossing_step, _stabilizer_size_and_state, 0, threads)
+    coeffs = [0] * (n * (n - 1) // 2 + 1)
+    for (k, crossings), count in leaves.items():
+        coeffs[crossings] += count * (group.order // (1 + k))
     return CrossingPolynomial(n=n, coefficients=tuple(coeffs))
 
 
 def strict_count(n: int) -> int:
     """Number of diagrams with no chord joining circle-adjacent points."""
     _check_n(n)
-    size = 2 * n
-    group_order, table = _dihedral_start(size)
-    orderly = _orderly_hook(table)
+    group = make_standard_group("dihedral", 2 * n)
+    leaves = _orbit_walk(group, _strict_step, _stabilizer_size, True)
+    return sum(count * (group.order // (1 + k)) for k, count in leaves.items())
 
-    def place(partner, v, w, tied):
-        if w == v + 1 or (v == 0 and w == size - 1):
-            return None
-        return orderly(partner, v, w, tied)
 
-    return sum(
-        group_order // (1 + len(stabilizer))
-        for _, stabilizer in _walk(size, None, place, [])
+def _dihedral_census(
+    n: int, threads: int | None = None
+) -> tuple[OrbitSummary, CrossingPolynomial, int]:
+    """orbit_count(n, D_2n), crossing_distribution(n) and strict_count(n),
+    from one walk of the D_2n orbit minima."""
+    _check_n(n)
+    threads = _resolve_threads(threads)
+    group = make_standard_group("dihedral", 2 * n)
+    leaves = _orbit_walk(group, _census_step, _stabilizer_size_and_state, (0, True), threads)
+    by_stabilizer: Counter = Counter()
+    coeffs = [0] * (n * (n - 1) // 2 + 1)
+    strict = 0
+    for (k, (crossings, is_strict)), count in leaves.items():
+        by_stabilizer[k] += count
+        diagrams = count * (group.order // (1 + k))
+        coeffs[crossings] += diagrams
+        if is_strict:
+            strict += diagrams
+    summary = OrbitSummary(
+        n=n,
+        group_order=group.order,
+        orbit_count=sum(leaves.values()),
+        orbit_size_histogram=_orbit_sizes(group.order, by_stabilizer),
     )
+    return summary, CrossingPolynomial(n=n, coefficients=tuple(coeffs)), strict

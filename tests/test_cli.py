@@ -263,6 +263,26 @@ class TestTable:
         assert run(["table", "--from", "5", "--to", "3"]) == 2
         capsys.readouterr()
 
+    def test_work_bound(self, capsys, monkeypatch):
+        from chorddia import cli
+
+        monkeypatch.setattr(cli, "MAX_TABLE_N", 4)
+        assert run(["table", "--from", "3", "--to", "4"]) == 0
+        capsys.readouterr()
+        assert run(["table", "--from", "3", "--to", "5"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "table capped at --to <= 4, got 5" in captured.err
+
+    def test_huge_to_exits_before_any_work(self):
+        proc = run_module(
+            "table", "--from", "1", "--to", "100000", address_space=600 * 2**20, timeout=30
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert "table capped at --to <= 2000" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 class TestEnumerate:
     def test_jsonl(self, capsys):
@@ -294,6 +314,32 @@ class TestEnumerate:
     def test_svg_dir_requires_out(self, capsys):
         assert run(["enumerate", "--n", "3", "--format", "svg-dir"]) == 2
         capsys.readouterr()
+
+    @staticmethod
+    def expected_jsonl(n, group):
+        # the serialized form as it was before the lines were written
+        # straight from the partner array; ChordDiagram checks each array
+        reps = [ChordDiagram(d.partner) for d in representatives(n, group)]
+        return "".join(json.dumps(d.to_json_dict()) + "\n" for d in reps)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("kind", ["identity", "cyclic", "dihedral"])
+    def test_jsonl_equals_json_dumps(self, kind, n, capsys):
+        assert run(["enumerate", "--n", str(n), "--group", kind]) == 0
+        assert capsys.readouterr().out == self.expected_jsonl(n, make_standard_group(kind, 2 * n))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_jsonl_equals_json_dumps_group_file(self, n, tmp_path, capsys):
+        # the half-turn of 2n points
+        half_turn = [(v + n) % (2 * n) + 1 for v in range(2 * n)]
+        path = tmp_path / "half.json"
+        path.write_text(json.dumps({"points": 2 * n, "elements": [half_turn]}))
+        assert run(["enumerate", "--n", str(n), "--group-file", str(path)]) == 0
+        group = chorddia.generate_group(
+            [chorddia.GroupElement.from_images([x - 1 for x in half_turn])], 2 * n
+        )
+        assert group.order == 2
+        assert capsys.readouterr().out == self.expected_jsonl(n, group)
 
 
 class TestCrossingsCommand:
@@ -357,6 +403,25 @@ class TestStrictCommand:
         assert capsys.readouterr().out == (
             "n,strict,cumulative\n1,0,0\n2,1,1\n3,4,5\n4,31,36\n"
         )
+
+    def test_work_bound(self, capsys, monkeypatch):
+        from chorddia import classic
+
+        monkeypatch.setattr(classic, "MAX_STRICT_N", 4)
+        assert run(["strict", "--n-max", "4"]) == 0
+        capsys.readouterr()
+        assert run(["strict", "--n-max", "5"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "strict sequences capped at n <= 4, got n = 5" in captured.err
+
+    def test_huge_n_max_exits_before_allocating(self):
+        # at 20000 the cumulative values alone outgrow 600 MB
+        proc = run_module("strict", "--n-max", "20000", address_space=600 * 2**20, timeout=30)
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert "strict sequences capped at n <= 4000" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestVerify:
@@ -434,6 +499,79 @@ class TestVerify:
         assert run(["verify", "--n-max", "3", "--oracle-max", "5"]) == 2
         capsys.readouterr()
 
+    def test_two_threads_print_the_same(self, capsys):
+        argv = ["verify", "--n-max", "7", "--oracle-max", "7"]
+        assert run(argv + ["--threads", "1"]) == 0
+        solo = capsys.readouterr()
+        assert run(argv + ["--threads", "2"]) == 0
+        assert capsys.readouterr() == solo
+        assert "all checks passed" in solo.out
+
+    def test_one_census_walk_per_n(self, capsys, monkeypatch):
+        # the dihedral orbit, crossing and strict lines read one census walk
+        # for n <= 7; only n = 8 walks the dihedral orbits on its own
+        from chorddia import oracle
+
+        census = []
+        orbits = []
+        census_walk = oracle._dihedral_census
+        orbit_count = oracle.orbit_count
+
+        def record_census(n, threads=None):
+            census.append(n)
+            return census_walk(n, threads)
+
+        def record_orbits(n, group, threads=None):
+            orbits.append((n, group.order))
+            if n == 8 and group.order == 1:
+                # one orbit per matching; spares the test a 2-million-leaf walk
+                return oracle.OrbitSummary(8, 1, 2027025, {1: 2027025})
+            return orbit_count(n, group, threads)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("verify walked the dihedral minima twice")
+
+        monkeypatch.setattr(oracle, "_dihedral_census", record_census)
+        monkeypatch.setattr(oracle, "orbit_count", record_orbits)
+        monkeypatch.setattr(oracle, "crossing_distribution", refuse)
+        monkeypatch.setattr(oracle, "strict_count", refuse)
+        assert run(["verify", "--n-max", "8", "--oracle-max", "8"]) == 0
+        assert "all checks passed" in capsys.readouterr().out
+        assert census == [1, 2, 3, 4, 5, 6, 7]
+        dihedral = [n for n, order in orbits if order == 4 * n and n > 1]
+        assert dihedral == [8]
+
+    @pytest.mark.parametrize(
+        "part,line",
+        [
+            (0, "FAIL formula == oracle (dihedral, n <= 3): n=3: oracle 6 != 5"),
+            (1, "FAIL crossing polynomial == crossing histogram (n <= 3): n=3"),
+            (2, "FAIL strict recurrence == strict enumeration (n <= 3): n=3"),
+        ],
+        ids=["orbits", "crossings", "strict"],
+    )
+    def test_census_mismatch_fails(self, capsys, monkeypatch, part, line):
+        from chorddia import classic, oracle
+
+        census_walk = oracle._dihedral_census
+        wrong = (
+            oracle.OrbitSummary(3, 12, 6, {12: 6}),
+            classic.CrossingPolynomial(3, (5, 6, 3, 2)),
+            5,
+        )
+
+        def wrong_at_3(n, threads=None):
+            result = list(census_walk(n, threads))
+            if n == 3:
+                result[part] = wrong[part]
+            return tuple(result)
+
+        monkeypatch.setattr(oracle, "_dihedral_census", wrong_at_3)
+        assert run(["verify", "--n-max", "3", "--oracle-max", "3"]) == 1
+        captured = capsys.readouterr()
+        assert line in captured.out
+        assert "1 failure(s)" in captured.out
+
     def test_oracle_max_above_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("CHORDDIA_ORACLE_CAP", "2")
         assert run(["verify", "--n-max", "5", "--oracle-max", "5"]) == 3
@@ -471,9 +609,11 @@ class TestRenderSvg:
         assert render_svg(d) == render_svg(d)
 
 
-def run_module(*args, address_space=None):
+def run_module(*args, address_space=None, timeout=120):
     """python -m chorddia ARGS, importing the package these tests import;
-    address_space caps the child's virtual memory in bytes."""
+    address_space caps the child's virtual memory in bytes. A child still
+    running after timeout seconds is killed and the test fails, so a lost
+    work bound cannot hang the suite."""
     src = str(Path(chorddia.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
 
@@ -486,6 +626,7 @@ def run_module(*args, address_space=None):
         text=True,
         env={**os.environ, "PYTHONPATH": path},
         preexec_fn=limit_memory if address_space else None,
+        timeout=timeout,
     )
 
 

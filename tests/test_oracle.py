@@ -180,3 +180,25 @@ class TestCap:
         monkeypatch.setenv("CHORDDIA_ORACLE_CAP", "many")
         with pytest.raises(DomainError):
             strict_count(2)
+
+
+class TestDihedralCensus:
+    # verify's one walk of the D_2n orbit minima in place of three
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+    def test_equals_the_three_walks(self, n, threads):
+        from chorddia.oracle import _dihedral_census
+
+        group = make_standard_group("dihedral", 2 * n)
+        assert _dihedral_census(n, threads) == (
+            orbit_count(n, group, threads=threads),
+            crossing_distribution(n, threads=threads),
+            strict_count(n),
+        )
+
+    def test_cap(self, monkeypatch):
+        from chorddia.oracle import _dihedral_census
+
+        monkeypatch.setenv("CHORDDIA_ORACLE_CAP", "3")
+        with pytest.raises(ResourceLimitError):
+            _dihedral_census(4)

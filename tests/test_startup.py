@@ -2,6 +2,7 @@
 name from it is used, so each command loads only the code it runs."""
 
 import ast
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -117,6 +118,22 @@ def test_formula_count_loads_no_json():
     loaded = loaded_by(main_snippet("count", "--n", "5"))
     assert "chorddia.closed_forms" in loaded
     assert "json" not in loaded
+
+
+def test_importtime_logs_the_handler_modules():
+    # a handler's `from . import closed_forms` resolves through the package's
+    # __getattr__, which must import on the path that -X importtime logs
+    src = str(Path(chorddia.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "chorddia", "count", "--n", "5"],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.stdout == "105\n"
+    logged = {line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()}
+    assert {"chorddia.cli", "chorddia.closed_forms"} <= logged
 
 
 def test_no_module_imports_dataclasses():
