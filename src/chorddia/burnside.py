@@ -10,21 +10,22 @@ count. A perfect matching of [0, 2n) can be written as an n x 2 matrix of
 point labels, determined up to permuting rows and swapping entries within
 rows, i.e. up to the group of pair permutations with flips (order
 2^n * n!). Counting orbits then reduces to a double sum over the cycle
-types of that group and of the acting group. Only verification uses it.
+types of that group and of the acting group. One generator, _wreath_terms,
+walks the pair-permutation types and how each of their cycles acts on the
+matrix entries; for a given acting cycle type it visits only the terms
+whose cycle lengths occur in it, so no whole table of wreath classes is
+built. Only verification uses it.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
-from itertools import combinations
-from typing import Mapping
+from itertools import product
+from typing import Iterator, Mapping
 
 from .closed_forms import fixed_matching_count
 from .errors import DomainError, Record, exact_div
-from .groups import CycleType, PermGroup, cycle_type_of, partitions
-
-PartsKey = tuple[tuple[int, int], ...]
+from .groups import CycleType, PermGroup, cycle_type_of
 
 
 class WreathTypeDistribution(Record):
@@ -55,51 +56,96 @@ def falling_factorial(a: int, k: int) -> int:
     return result
 
 
-@lru_cache(maxsize=None)
-def _wreath_raw(n: int) -> dict[PartsKey, int]:
-    """Cycle-type counts as a plain dict keyed by parts tuples.
+def _wreath_terms(
+    n: int, eta: Mapping[int, int] | None = None
+) -> Iterator[tuple[int, int]]:
+    """The wreath terms of order n: one for each pair-permutation type tau
+    (a partition of n) and each choice of how its cycles act on the matrix
+    entries.
 
-    For a pair permutation tau with a cycle of length l, half of the 2^l
-    flip assignments on that cycle produce two entry cycles of length l and
-    the other half produce one entry cycle of length 2l; cycles of tau act
-    independently.
+    Half of the 2^l flip assignments on an l-cycle of tau make two entry
+    cycles of length l, the other half one entry cycle of length 2l, and
+    the cycles of tau act independently. So if j of the m l-cycles of tau
+    split, for each length l, the term stands for
+    n! / prod(l^m * m!) * 2^(n - sum m) * prod C(m, j)
+    pair permutations with flips, whose entry cycle type pi has 2j cycles
+    of length l and m - j of length 2l from each part l^m.
+
+    Yields (code, weight). The code packs pi into one integer, with pi_l in
+    the bit field of width (2n).bit_length() at position l (every count is
+    at most 2n), so that adding codes adds cycle types; _unpack reads it.
+    Without eta the weight is the number of pair permutations with flips.
+    Given an acting cycle type eta as {length: count}, only the parts l
+    with l or 2l in eta are taken, a part's split choices stop where its
+    entry-cycle counts would pass eta's, and the weight is multiplied by
+    prod_l l^pi_l * (eta_l)_(pi_l), the number of ways to map the entry
+    cycles one to one onto acting cycles of the same lengths (0 where
+    two parts together pass eta_l).
     """
-    entries: dict[PartsKey, int] = {}
     n_fact = math.factorial(n)
-    for ct in partitions(n):
-        parts = ct.parts
-        num_cycles = sum(m for _, m in parts)
-        denom = 1
-        for l, m in parts:
-            denom *= l**m * math.factorial(m)
-        base = (n_fact // denom) * 2 ** (n - num_cycles)
+    width = (2 * n).bit_length()
+    if eta is None:
+        lengths = range(1, n + 1)
+    else:
+        lengths = [l for l in range(1, n + 1) if l in eta or 2 * l in eta]
 
-        # choose, per length class, how many cycles split into two l-cycles
-        def emit(idx: int, weight: int, acc: dict[int, int]):
-            if idx == len(parts):
-                key = tuple(sorted(acc.items()))
-                entries[key] = entries.get(key, 0) + weight
+    def splits(l: int, m: int) -> range:
+        """The allowed numbers j of the m l-cycles that split."""
+        if eta is None:
+            return range(m + 1)
+        return range(max(0, m - eta.get(2 * l, 0)), min(m, eta.get(l, 0) // 2) + 1)
+
+    tau: list[tuple[int, int, range]] = []
+
+    def types(start: int, left: int) -> Iterator[list[tuple[int, int, range]]]:
+        """Partitions of left into parts lengths[start:], ascending, as
+        (l, m, allowed splits) appended to tau."""
+        if not left:
+            yield tau
+            return
+        for idx in range(start, len(lengths)):
+            l = lengths[idx]
+            if l > left:
                 return
-            l, m = parts[idx]
-            for j in range(m + 1):
-                added: list[int] = []
-                if j:
-                    acc[l] = acc.get(l, 0) + 2 * j
-                    added.append(l)
-                if m - j:
-                    acc[2 * l] = acc.get(2 * l, 0) + (m - j)
-                    added.append(2 * l)
-                emit(idx + 1, weight * math.comb(m, j), acc)
-                for length in added:
-                    if length == l:
-                        acc[l] -= 2 * j
-                    else:
-                        acc[2 * l] -= m - j
-                    if acc[length] == 0:
-                        del acc[length]
+            for m in range(1, left // l + 1):
+                js = splits(l, m)
+                if not js:
+                    break  # and empty for every larger m
+                tau.append((l, m, js))
+                yield from types(idx + 1, left - l * m)
+                tau.pop()
 
-        emit(0, base, {})
-    return entries
+    for parts in types(0, n):
+        denominator = 1
+        cycles = 0
+        combs: list[list[int]] = []
+        codes: list[list[int]] = []
+        for l, m, js in parts:
+            denominator *= l**m * math.factorial(m)
+            cycles += m
+            combs.append([math.comb(m, j) for j in js])
+            codes.append([(2 * j << width * l) + (m - j << 2 * width * l) for j in js])
+        base = exact_div(n_fact, denominator, "wreath class size") << (n - cycles)
+        for comb_choice, code_choice in zip(product(*combs), product(*codes)):
+            code = sum(code_choice)
+            weight = base * math.prod(comb_choice)
+            if eta is not None:
+                for l, count in _unpack(code, n):
+                    weight *= l**count * falling_factorial(eta[l], count)
+            yield code, weight
+
+
+def _unpack(code: int, n: int) -> tuple[tuple[int, int], ...]:
+    """The (length, count) pairs, by length, of an entry cycle type that
+    _wreath_terms packed for order n."""
+    width = (2 * n).bit_length()
+    parts = []
+    while code:
+        length = (code.bit_length() - 1) // width
+        count = code >> width * length
+        parts.append((length, count))
+        code -= count << width * length
+    return tuple(reversed(parts))
 
 
 def wreath_cycle_type_distribution(n: int) -> WreathTypeDistribution:
@@ -107,21 +153,13 @@ def wreath_cycle_type_distribution(n: int) -> WreathTypeDistribution:
     order n. Every key has degree 2n; counts sum to 2^n * n!."""
     if n < 1:
         raise DomainError("wreath distribution requires n >= 1")
-    raw = _wreath_raw(n)
+    grouped: dict[int, int] = {}
+    for code, weight in _wreath_terms(n):
+        grouped[code] = grouped.get(code, 0) + weight
     return WreathTypeDistribution(
-        n=n, entries={CycleType(parts): count for parts, count in raw.items()}
+        n=n,
+        entries={CycleType(_unpack(code, n)): count for code, count in grouped.items()},
     )
-
-
-@lru_cache(maxsize=None)
-def _wreath_by_support(n: int) -> dict[frozenset[int], list[tuple[PartsKey, int]]]:
-    """Wreath classes grouped by their set of cycle lengths, so that for a
-    given acting element only classes whose lengths all occur in it are
-    visited (all other products vanish)."""
-    index: dict[frozenset[int], list[tuple[PartsKey, int]]] = {}
-    for parts, count in _wreath_raw(n).items():
-        index.setdefault(frozenset(l for l, _ in parts), []).append((parts, count))
-    return index
 
 
 def _class_sizes(n: int, group: PermGroup, context: str) -> dict[CycleType, int]:
@@ -153,25 +191,12 @@ def _wreath_class_sum(n: int, group: PermGroup) -> int:
     Averages, over both groups, the number of matrix/point relabelling
     pairs that map a matching to itself; a pair contributes only when the
     two permutations have compatible cycle structure, which reduces the
-    average to a sum over pairs of cycle-type classes.
+    average to a sum, for each acting class, over the wreath terms whose
+    cycle lengths occur in it.
     """
     sizes = _class_sizes(n, group, "_wreath_class_sum")
-    by_support = _wreath_by_support(n)
     total = 0
     for g_type, g_mult in sizes.items():
-        eta = dict(g_type.parts)
-        support = sorted(eta)
-        # wreath classes contribute only if their lengths occur in eta
-        for r in range(len(support) + 1):
-            for subset in combinations(support, r):
-                for w_parts, w_mult in by_support.get(frozenset(subset), ()):
-                    term = 1
-                    for length, pi in w_parts:
-                        term *= length**pi * falling_factorial(eta[length], pi)
-                        if term == 0:
-                            break
-                    if term:
-                        total += w_mult * g_mult * term
-
+        total += g_mult * sum(weight for _, weight in _wreath_terms(n, dict(g_type.parts)))
     denominator = 2**n * math.factorial(n) * group.order
     return exact_div(total, denominator, "wreath class sum")

@@ -106,7 +106,8 @@ def _crossing_transfer(n: int) -> tuple[int, ...]:
     transfer count that uses no closed form: scan the 2n points in order;
     each point opens a chord or closes one of the k open chords. Closing
     the j-th newest crosses exactly the j-1 newer open chords (each began
-    inside it and ends outside), so it adds j-1 crossings.
+    inside it and ends outside), so closing one of k open chords multiplies
+    by 1 + x + ... + x^(k-1).
 
     ways[k][c] is the number of ways to reach the current point with k
     chords open and c crossings so far.
@@ -120,20 +121,27 @@ def _crossing_transfer(n: int) -> tuple[int, ...]:
         nxt: list[list[int]] = [[] for _ in range(len(ways) + 1)]
         for k, poly in enumerate(ways):
             if k < left:  # opening leaves k+1 chords for the points after
-                _add_shifted(nxt[k + 1], poly, 0)
-            for j in range(1, k + 1):
-                _add_shifted(nxt[k - 1], poly, j - 1)
+                _add_window(nxt[k + 1], poly, 1)
+            if k:
+                _add_window(nxt[k - 1], poly, k)
         ways = nxt
     return tuple(ways[0])
 
 
-def _add_shifted(target: list[int], poly: list[int], shift: int):
-    """target += x^shift * poly, growing target as needed."""
-    need = len(poly) + shift
+def _add_window(target: list[int], poly: list[int], width: int):
+    """target += (1 + x + ... + x^(width-1)) * poly, growing target as
+    needed: coefficient c gains the sum of poly's window (c-width, c],
+    kept as a running sum."""
+    need = len(poly) + width - 1
     if len(target) < need:
         target.extend([0] * (need - len(target)))
-    for c, count in enumerate(poly):
-        target[c + shift] += count
+    running = 0
+    for c in range(need):
+        if c < len(poly):
+            running += poly[c]
+        if c >= width:
+            running -= poly[c - width]
+        target[c] += running
 
 
 def _strict_inclusion_exclusion(n: int) -> int:

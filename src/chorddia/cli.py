@@ -118,6 +118,13 @@ def _resolve_group(args, n: int) -> PermGroup:
 
 # ---------------------------------------------------------------- count
 
+# the closed forms' big products and their decimal output grow as about n^2:
+# `count --group dihedral --n 70000`, the slowest of the three, takes about
+# 10 s on a 2-vCPU machine (cyclic 7 s). The burnside and oracle paths are
+# bounded by the group's stored entries and the enumeration cap.
+MAX_COUNT_N = 70000
+
+
 def _cmd_count(args) -> int:
     threads = _check_threads(args.threads)
     n = _require_order(args.n)
@@ -126,6 +133,8 @@ def _cmd_count(args) -> int:
     if args.group_file and method == "formula":
         raise DomainError("--method formula needs a standard group; use burnside or oracle")
     if method == "formula":
+        if n > MAX_COUNT_N:
+            raise ResourceLimitError(f"count capped at --n <= {MAX_COUNT_N}, got {n}")
         value = _standard_formula(args.group)(n)
     elif method == "burnside":
         from . import burnside
@@ -274,12 +283,21 @@ def _cmd_strict(args) -> int:
 
 # ---------------------------------------------------------------- verify
 
+# the wreath mass line walks every pair-permutation type and split choice
+# for each n <= --n-max (589,128 terms at n = 30), about 1.35 times more
+# per step of n: `verify --n-max 35` takes about 10 s on a 2-vCPU machine
+# (--n-max 30 about 2 s)
+MAX_VERIFY_N = 35
+
+
 def _cmd_verify(args) -> int:
     from . import burnside, classic, closed_forms, oracle
     from .groups import make_standard_group
 
     threads = oracle._resolve_threads(args.threads)
     n_max = _require_order(args.n_max)
+    if n_max > MAX_VERIFY_N:
+        raise ResourceLimitError(f"verify capped at --n-max <= {MAX_VERIFY_N}, got {n_max}")
     cap = oracle.enumeration_cap()
     if args.oracle_max is None:
         oracle_max = min(n_max, 6)
@@ -374,9 +392,11 @@ def _cmd_verify(args) -> int:
     ok = True
     detail = ""
     for n in range(1, n_max + 1):
-        dist = burnside.wreath_cycle_type_distribution(n)
-        if dist.total != 2**n * math.factorial(n):
-            ok, detail = False, f"n={n}: total {dist.total}"
+        # the weights of every term that the class sums above draw from,
+        # added up without grouping them by cycle type
+        total = sum(weight for _, weight in burnside._wreath_terms(n))
+        if total != 2**n * math.factorial(n):
+            ok, detail = False, f"n={n}: total {total}"
             break
     report(f"wreath distribution mass == 2^n n! (n <= {n_max})", ok, detail)
 

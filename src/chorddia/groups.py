@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from operator import itemgetter
+from operator import itemgetter, methodcaller
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import DomainError, Record, ResourceLimitError
@@ -289,13 +289,21 @@ def generate_group(
     if points > MAX_CLOSURE_ENTRIES:
         raise ResourceLimitError(_entries_message(points))
     if points < 2:
-        # the identity is the only permutation of 0 or 1 points (and
-        # itemgetter with one index returns a bare int, not a tuple)
+        # the identity is the only permutation of 0 or 1 points
         return PermGroup(points, (GroupElement.identity(points),))
     limit = min(max_elements, MAX_CLOSURE_ENTRIES // points)
-    # current * g picks current's entries at g's images
-    steps = [itemgetter(*g.images) for g in generators]
-    identity = tuple(range(points))
+    if points <= 256:
+        # g * current: bytes.translate maps each entry through g's images in
+        # C, and a bytes object caches its hash for the set
+        identity: bytes | tuple[int, ...] = bytes(range(points))
+        steps = [
+            methodcaller("translate", bytes(g.images).ljust(256, b"\0"))
+            for g in generators
+        ]
+    else:
+        # current * g picks current's entries at g's images
+        identity = tuple(range(points))
+        steps = [itemgetter(*g.images) for g in generators]
     seen = {identity}
     frontier = [identity]
     while frontier:
@@ -311,7 +319,13 @@ def generate_group(
                         )
                     raise ResourceLimitError(_entries_message(points))
                 frontier.append(nxt)
-    return PermGroup(points, tuple(map(GroupElement._unchecked, sorted(seen))))
+    # bytes sort as their tuples do; each entry is replaced in place, so the
+    # two encodings are never both held in full
+    ordered = sorted(seen)
+    del seen
+    for idx, images in enumerate(ordered):
+        ordered[idx] = GroupElement._unchecked(tuple(images))
+    return PermGroup(points, tuple(ordered))
 
 
 def _entries_message(points: int) -> str:

@@ -1,5 +1,6 @@
 import math
-from itertools import permutations, product
+from functools import lru_cache
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -20,6 +21,7 @@ from chorddia import (
     generate_group,
     make_standard_group,
     orbit_count,
+    partitions,
     wreath_cycle_type_distribution,
     wreath_uniform_count,
 )
@@ -46,6 +48,56 @@ def brute_wreath_distribution(n):
             ct = cycle_type_of(GroupElement.from_images(images))
             histogram[ct] = histogram.get(ct, 0) + 1
     return histogram
+
+
+@lru_cache(maxsize=None)
+def reference_wreath_table(n):
+    """Cycle-type counts of the pair permutations with flips, built as one
+    whole table: for each pair-permutation type, every choice of how many
+    of its l-cycles split into two entry l-cycles (the rest give one
+    2l-cycle each)."""
+    entries = {}
+    for ct in partitions(n):
+        parts = ct.parts
+        denom = math.prod(l**m * math.factorial(m) for l, m in parts)
+        base = math.factorial(n) // denom * 2 ** (n - sum(m for _, m in parts))
+        for splits in product(*(range(m + 1) for _, m in parts)):
+            counts = {}
+            weight = base
+            for (l, m), j in zip(parts, splits):
+                weight *= math.comb(m, j)
+                for length, count in ((l, 2 * j), (2 * l, m - j)):
+                    if count:
+                        counts[length] = counts.get(length, 0) + count
+            key = tuple(sorted(counts.items()))
+            entries[key] = entries.get(key, 0) + weight
+    return entries
+
+
+def reference_class_sum(n, group):
+    """The wreath class sum from the whole table, indexed by each class's
+    set of cycle lengths: for each acting class, every wreath class whose
+    lengths all occur in it."""
+    by_support = {}
+    for parts, count in reference_wreath_table(n).items():
+        by_support.setdefault(frozenset(l for l, _ in parts), []).append((parts, count))
+    sizes = {}
+    for g in group.elements:
+        ct = cycle_type_of(g)
+        sizes[ct] = sizes.get(ct, 0) + 1
+    total = 0
+    for g_type, g_mult in sizes.items():
+        eta = dict(g_type.parts)
+        for r in range(len(eta) + 1):
+            for subset in combinations(sorted(eta), r):
+                for w_parts, w_mult in by_support.get(frozenset(subset), ()):
+                    term = w_mult * g_mult
+                    for length, pi in w_parts:
+                        term *= length**pi * falling_factorial(eta[length], pi)
+                    total += term
+    quotient, remainder = divmod(total, 2**n * math.factorial(n) * group.order)
+    assert remainder == 0
+    return quotient
 
 
 class TestFallingFactorial:
@@ -97,6 +149,12 @@ class TestWreathDistribution:
                 key = CycleType(((i, 2 * n // i),))
                 assert dist.entries.get(key, 0) == wreath_uniform_count(n, i)
 
+    def test_matches_whole_table(self):
+        for n in range(1, 13):
+            table = reference_wreath_table(n)
+            expected = {CycleType(parts): count for parts, count in table.items()}
+            assert wreath_cycle_type_distribution(n).entries == expected
+
     def test_rejects_nonpositive(self):
         with pytest.raises(DomainError):
             wreath_cycle_type_distribution(0)
@@ -143,17 +201,32 @@ class TestWreathClassSum:
             for kind, formula in STANDARD_FORMULAS.items():
                 assert _wreath_class_sum(n, make_standard_group(kind, 2 * n)) == formula(n)
 
+    def test_matches_whole_table_sum(self):
+        for n in range(1, 17):
+            for kind in STANDARD_FORMULAS:
+                group = make_standard_group(kind, 2 * n)
+                assert _wreath_class_sum(n, group) == reference_class_sum(n, group)
+
+    def test_never_calls_the_fixed_count(self, monkeypatch):
+        from chorddia import burnside
+
+        def refuse(cycle_type):
+            raise AssertionError("the wreath class sum used fixed_matching_count")
+
+        monkeypatch.setattr(burnside, "fixed_matching_count", refuse)
+        assert _wreath_class_sum(6, make_standard_group("dihedral", 12)) == dihedral_count(6)
+
     def test_size_mismatch(self):
         with pytest.raises(DomainError):
             _wreath_class_sum(3, make_standard_group("cyclic", 8))
 
 
 @st.composite
-def small_groups(draw):
-    """A group closed from up to three random generators on 2, 4, 6 or 8
-    points; closures above 2000 elements (most of S_8) are rejected to keep
-    the oracle quick."""
-    points = draw(st.sampled_from((2, 4, 6, 8)))
+def small_groups(draw, max_points=8):
+    """A group closed from up to three random generators on an even number
+    of points up to max_points; closures above 2000 elements (most of S_8)
+    are rejected to keep the oracle quick."""
+    points = draw(st.sampled_from(range(2, max_points + 1, 2)))
     images = draw(st.lists(st.permutations(range(points)), max_size=3))
     try:
         return generate_group(
@@ -170,3 +243,10 @@ def test_three_derivations_agree_on_random_groups(group):
     expected = orbit_count(n, group).orbit_count
     assert burnside_count(n, group) == expected
     assert _wreath_class_sum(n, group) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_groups(max_points=12))
+def test_class_sum_matches_whole_table_sum(group):
+    n = group.size // 2
+    assert _wreath_class_sum(n, group) == reference_class_sum(n, group)

@@ -82,7 +82,7 @@ class TestCrossingTransfer:
     polynomial now that the oracle's crossing walk shares the orbit prune."""
 
     def test_matches_polynomial(self):
-        for n in range(1, 21):
+        for n in range(1, 31):
             assert _crossing_transfer(n) == crossing_polynomial(n).coefficients
 
     def test_matches_enumeration(self):

@@ -117,6 +117,30 @@ class TestCount:
             assert out == f"{dihedral_count(2000)}\n"
         assert len(out) > 4301
 
+    def test_formula_work_bound(self, capsys, monkeypatch):
+        from chorddia import cli
+
+        monkeypatch.setattr(cli, "MAX_COUNT_N", 4)
+        assert run(["count", "--group", "dihedral", "--n", "4"]) == 0
+        assert capsys.readouterr().out == "17\n"
+        assert run(["count", "--group", "dihedral", "--n", "5"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "count capped at --n <= 4, got 5" in captured.err
+        # the other paths have their own bounds
+        assert run(["count", "--group", "dihedral", "--n", "5", "--method", "burnside"]) == 0
+        assert capsys.readouterr().out == "79\n"
+
+    def test_huge_formula_count_exits_before_any_work(self):
+        proc = run_module(
+            "count", "--group", "dihedral", "--n", "200000",
+            address_space=600 * 2**20, timeout=30,
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert "count capped at --n <= 70000, got 200000" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_standard_group_entry_bound(self):
         # C_200000 would store 4 * 10^10 image entries; nothing is built
         proc = run_module(
@@ -446,6 +470,44 @@ class TestVerify:
         captured = capsys.readouterr()
         assert "FAIL burnside == wreath class sum (cyclic, n <= 2)" in captured.err
         assert "3 failure(s)" in captured.out
+
+    def test_wreath_mass_mismatch_fails(self, capsys, monkeypatch):
+        from chorddia import burnside
+
+        terms = burnside._wreath_terms
+
+        def heavier(n, eta=None):
+            # one extra unit on every unfiltered term; the class sums pass eta
+            return ((code, weight + (eta is None)) for code, weight in terms(n, eta))
+
+        monkeypatch.setattr(burnside, "_wreath_terms", heavier)
+        assert run(["verify", "--n-max", "2", "--oracle-max", "1"]) == 1
+        captured = capsys.readouterr()
+        assert "FAIL wreath distribution mass == 2^n n! (n <= 2): n=1: total 4" in captured.out
+        assert "1 failure(s)" in captured.out
+
+    def test_work_bound(self, capsys, monkeypatch):
+        from chorddia import cli
+
+        monkeypatch.setattr(cli, "MAX_VERIFY_N", 3)
+        assert run(["verify", "--n-max", "3", "--oracle-max", "1"]) == 0
+        capsys.readouterr()
+        assert run(["verify", "--n-max", "4", "--oracle-max", "1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "verify capped at --n-max <= 3, got 4" in captured.err
+
+    def test_huge_n_max_exits_before_any_work(self):
+        # the wreath tables of every n <= 40 once outgrew 600 MB
+        for n_max in ("40", "100000"):
+            proc = run_module(
+                "verify", "--n-max", n_max, "--oracle-max", "3",
+                address_space=600 * 2**20, timeout=30,
+            )
+            assert proc.returncode == 3
+            assert proc.stdout == ""
+            assert f"verify capped at --n-max <= 35, got {n_max}" in proc.stderr
+            assert "Traceback" not in proc.stderr
 
     def test_transfer_count_line(self, capsys):
         assert run(["verify", "--n-max", "4", "--oracle-max", "3"]) == 0

@@ -1,5 +1,6 @@
 import math
 import pickle
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -351,7 +352,7 @@ permutations_up_to_8 = st.integers(1, 8).flatmap(
 
 @st.composite
 def generator_sets(draw):
-    points = draw(st.integers(1, 8))
+    points = draw(st.integers(1, 12))
     images = draw(st.lists(st.permutations(range(points)), max_size=3))
     return points, [GroupElement.from_images(p) for p in images]
 
@@ -369,6 +370,36 @@ def test_closure_matches_compose_reference(case):
         group = generate_group(gens, points, max_elements=cap)
         assert group.size == points
         assert list(group.elements) == expected
+
+
+def conjugated_dihedral(points, seed):
+    """A rotation and a reflection of the circle, relabelled by a random
+    permutation: generators of a group of order 2 * points whose elements
+    look random."""
+    relabel = list(range(points))
+    random.Random(seed).shuffle(relabel)
+    sigma = GroupElement.from_images(relabel)
+    return [
+        sigma * g * sigma.inverse()
+        for g in (GroupElement.rotation(points, 1), GroupElement.reflection(points, 0))
+    ]
+
+
+# 256 points is the largest closure stored as bytes, 258 the smallest as tuples
+@pytest.mark.parametrize("points", [254, 256, 258])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_closure_either_side_of_the_bytes_encoding(monkeypatch, points, seed):
+    gens = conjugated_dihedral(points, seed)
+    group = generate_group(gens, points)
+    assert list(group.elements) == reference_closure(gens, points, 2 * points)
+    assert all(type(g.images) is tuple for g in group.elements)
+    with pytest.raises(ResourceLimitError, match=f"exceeded {2 * points - 1} elements"):
+        generate_group(gens, points, max_elements=2 * points - 1)
+    monkeypatch.setattr(groups, "MAX_CLOSURE_ENTRIES", 2 * points * points)
+    assert generate_group(gens, points) == group
+    monkeypatch.setattr(groups, "MAX_CLOSURE_ENTRIES", 2 * points * points - 1)
+    with pytest.raises(ResourceLimitError, match="stored image entries"):
+        generate_group(gens, points)
 
 
 @settings(max_examples=150, deadline=None)
