@@ -1,11 +1,13 @@
 import math
 from functools import lru_cache
 from itertools import combinations, permutations, product
+from unittest.mock import patch
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from chorddia import groups
 from chorddia import (
     CycleType,
     DomainError,
@@ -229,9 +231,8 @@ def small_groups(draw, max_points=8):
     points = draw(st.sampled_from(range(2, max_points + 1, 2)))
     images = draw(st.lists(st.permutations(range(points)), max_size=3))
     try:
-        return generate_group(
-            [GroupElement.from_images(p) for p in images], points, max_elements=2000
-        )
+        with patch.object(groups, "MAX_CLOSURE_ENTRIES", 2000 * points):
+            return generate_group([GroupElement.from_images(p) for p in images], points)
     except ResourceLimitError:
         assume(False)
 

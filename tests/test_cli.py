@@ -11,6 +11,7 @@ import pytest
 
 import chorddia
 from chorddia import ChordDiagram, dihedral_count, make_standard_group, representatives
+from chorddia import cli
 from chorddia.cli import run
 from chorddia.svg import render_svg
 
@@ -152,6 +153,16 @@ class TestCount:
         assert "stored image entries" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_largest_dihedral_group_under_250_mb(self):
+        # D_2236 stores 2 * 2236^2 = 9,999,392 image entries, the most the
+        # bound allows for a dihedral group
+        proc = run_module(
+            "count", "--method", "burnside", "--group", "dihedral", "--n", "1118",
+            address_space=250 * 2**20,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"{dihedral_count(1118)}\n"
+
     def test_group_file(self, tmp_path, capsys):
         # rotation generator, 1-based images; closure yields the full C_6
         path = tmp_path / "c6.json"
@@ -259,6 +270,53 @@ class TestCount:
         assert proc.stdout == ""
         assert message in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_group_file_endless(self):
+        # only the first MAX_GROUP_FILE_BYTES + 1 bytes are read
+        proc = run_module(
+            "count", "--n", "1", "--group-file", "/dev/zero",
+            address_space=600 * 2**20, timeout=30,
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert f"longer than {cli.MAX_GROUP_FILE_BYTES} bytes" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_group_file_byte_bound(self, tmp_path, capsys):
+        # empty lists are the most JSON objects a byte can hold
+        cap = cli.MAX_GROUP_FILE_BYTES
+        lists = "[" + "[]," * ((cap - 4) // 3) + "[]]"
+        path = tmp_path / "lists.json"
+        path.write_text(lists.ljust(cap))
+        proc = run_module(
+            "count", "--n", "1", "--group-file", str(path),
+            address_space=600 * 2**20, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "must contain 'points' and 'elements'" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        path.write_text(lists.ljust(cap + 1))
+        assert run(["count", "--n", "1", "--group-file", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"longer than {cap} bytes" in captured.err
+
+    def test_group_file_deep_nesting(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200000)
+        assert run(["count", "--n", "1", "--group-file", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "nested too deeply" in captured.err
+
+    def test_group_file_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"points": 2, "elements": [], "\xe9": 0}')
+        assert run(["count", "--n", "1", "--group-file", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not UTF-8" in captured.err
 
     def test_group_file_formula_rejected(self, tmp_path, capsys):
         path = tmp_path / "c6.json"

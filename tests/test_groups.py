@@ -1,6 +1,7 @@
 import math
 import pickle
 import random
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from chorddia import (
     CycleType,
     DomainError,
     GroupElement,
+    PermGroup,
     ResourceLimitError,
     cycle_type_of,
     divisors,
@@ -228,8 +230,44 @@ class TestStandardGroups:
 
         for build in ("identity", "rotation", "reflection"):
             monkeypatch.setattr(GroupElement, build, refuse)
+        monkeypatch.setattr(groups, "generate_group", refuse)
         with pytest.raises(ResourceLimitError, match=f"{entries - 1}$"):
             make_standard_group(kind, 6)
+
+    @pytest.mark.parametrize("kind", groups.STANDARD_GROUP_KINDS)
+    def test_matches_every_rotation_and_reflection(self, kind):
+        # 256 points is the largest closure stored as bytes, 258 the smallest
+        # as tuples
+        for points in [*range(2, 65, 2), 254, 256, 258]:
+            assert make_standard_group(kind, points) == listed_standard_group(kind, points)
+
+    @pytest.mark.parametrize(
+        "kind,generators", [("identity", 0), ("cyclic", 1), ("dihedral", 2)]
+    )
+    def test_closed_through_the_module_global(self, monkeypatch, kind, generators):
+        # the closure is looked up at call time, so a wrapper around
+        # groups.generate_group sees every standard build
+        calls = []
+        closure = groups.generate_group
+
+        def spy(gens, points):
+            calls.append((len(gens), points))
+            return closure(gens, points)
+
+        monkeypatch.setattr(groups, "generate_group", spy)
+        make_standard_group(kind, 8)
+        assert calls == [(generators, 8)]
+
+
+def listed_standard_group(kind, points):
+    """The standard group built by listing each of its rotations and
+    reflections, deduplicated and sorted by images."""
+    elements = {GroupElement.identity(points)}
+    if kind in ("cyclic", "dihedral"):
+        elements.update(GroupElement.rotation(points, s) for s in range(points))
+    if kind == "dihedral":
+        elements.update(GroupElement.reflection(points, s) for s in range(points))
+    return PermGroup(points, tuple(sorted(elements, key=lambda g: g.images)))
 
 
 class TestGenerateGroup:
@@ -252,14 +290,16 @@ class TestGenerateGroup:
         with pytest.raises(DomainError):
             generate_group([GroupElement.rotation(4, 1), GroupElement.rotation(6, 1)], 6)
 
-    def test_closure_cap(self):
-        # S_4 has order 24
+    def test_closure_cap(self, monkeypatch):
+        # S_4 has order 24; an entry bound of 10 elements of 4 points stops it
         gens = [
             GroupElement.from_images([1, 0, 2, 3]),
             GroupElement.from_images([1, 2, 3, 0]),
         ]
+        monkeypatch.setattr(groups, "MAX_CLOSURE_ENTRIES", 10 * 4)
         with pytest.raises(ResourceLimitError):
-            generate_group(gens, 4, max_elements=10)
+            generate_group(gens, 4)
+        monkeypatch.undo()
         assert generate_group(gens, 4).order == 24
 
     @pytest.mark.parametrize("points", [0, 1, 2])
@@ -290,9 +330,6 @@ class TestGenerateGroup:
         monkeypatch.setattr(groups, "MAX_CLOSURE_ENTRIES", 95)
         with pytest.raises(ResourceLimitError, match="95 stored image entries"):
             generate_group(gens, 4)
-        # the element cap keeps its own message when it is the tighter bound
-        with pytest.raises(ResourceLimitError, match="exceeded 10 elements"):
-            generate_group(gens, 4, max_elements=10)
 
     def test_closure_elements_skip_only_their_own_check(self):
         # the closure builds its elements without re-checking the bijections
@@ -363,13 +400,15 @@ def test_closure_matches_compose_reference(case):
     points, gens = case
     cap = 2000
     expected = reference_closure(gens, points, cap)
-    if expected is None:
-        with pytest.raises(ResourceLimitError):
-            generate_group(gens, points, max_elements=cap)
-    else:
-        group = generate_group(gens, points, max_elements=cap)
-        assert group.size == points
-        assert list(group.elements) == expected
+    # an entry bound of cap elements of `points` entries
+    with patch.object(groups, "MAX_CLOSURE_ENTRIES", cap * points):
+        if expected is None:
+            with pytest.raises(ResourceLimitError):
+                generate_group(gens, points)
+        else:
+            group = generate_group(gens, points)
+            assert group.size == points
+            assert list(group.elements) == expected
 
 
 def conjugated_dihedral(points, seed):
@@ -393,8 +432,6 @@ def test_closure_either_side_of_the_bytes_encoding(monkeypatch, points, seed):
     group = generate_group(gens, points)
     assert list(group.elements) == reference_closure(gens, points, 2 * points)
     assert all(type(g.images) is tuple for g in group.elements)
-    with pytest.raises(ResourceLimitError, match=f"exceeded {2 * points - 1} elements"):
-        generate_group(gens, points, max_elements=2 * points - 1)
     monkeypatch.setattr(groups, "MAX_CLOSURE_ENTRIES", 2 * points * points)
     assert generate_group(gens, points) == group
     monkeypatch.setattr(groups, "MAX_CLOSURE_ENTRIES", 2 * points * points - 1)
