@@ -41,13 +41,16 @@ def _require_order(n: int) -> int:
     return n
 
 
-def _check_threads(threads: int) -> int:
-    """Refuse a bad --threads before any work, even where no oracle runs."""
-    if threads == 1:
-        return threads  # the default: no need to load the oracle to check it
-    from . import oracle
-
-    return oracle._resolve_threads(threads)
+def _threads(text: str) -> int:
+    """argparse type of --threads: a bad count is refused while the command
+    line is parsed, before any work, even where no oracle runs."""
+    try:
+        threads = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if threads < 1:
+        raise argparse.ArgumentTypeError("threads must be >= 1")
+    return threads
 
 
 def _is_int(value) -> bool:
@@ -144,7 +147,6 @@ MAX_COUNT_N = 70000
 
 
 def _cmd_count(args) -> int:
-    threads = _check_threads(args.threads)
     n = _require_order(args.n)
     # arbitrary groups have no closed form; their default path is burnside
     method = args.method or ("burnside" if args.group_file else "formula")
@@ -163,7 +165,7 @@ def _cmd_count(args) -> int:
 
         # refused before the group is built or closed
         oracle._check_n(n)
-        value = oracle.orbit_count(n, _resolve_group(args, n), threads=threads).orbit_count
+        value = oracle.orbit_count(n, _resolve_group(args, n), threads=args.threads).orbit_count
     print(value)
     return 0
 
@@ -259,7 +261,6 @@ def _cmd_enumerate(args) -> int:
 # ---------------------------------------------------------------- crossings
 
 def _cmd_crossings(args) -> int:
-    threads = _check_threads(args.threads)
     n = _require_order(args.n)
     if args.method == "formula":
         from . import classic
@@ -268,7 +269,7 @@ def _cmd_crossings(args) -> int:
     else:
         from . import oracle
 
-        poly = oracle.crossing_distribution(n, threads=threads)
+        poly = oracle.crossing_distribution(n, threads=args.threads)
     if args.format == "csv":
         out = ["crossings,count"]
         out += [f"{j},{c}" for j, c in enumerate(poly.coefficients)]
@@ -308,160 +309,155 @@ def _cmd_strict(args) -> int:
 MAX_VERIFY_N = 35
 
 
-def _cmd_verify(args) -> int:
+def _verify_checks(n_max: int, oracle_max: int, threads: int) -> list[tuple]:
+    """verify's lines in print order, each (label, last n, detail_at,
+    stream): detail_at(n) returns the line's mismatch at n, or None."""
+    from functools import partial
+
     from . import burnside, classic, closed_forms, oracle
     from .groups import make_standard_group
 
-    threads = oracle._resolve_threads(args.threads)
+    census_max = min(oracle_max, 7)
+    rotation_max = min(oracle_max, 6)
+
+    # the values that several lines read, each computed once
+    groups, counts = {}, {}
+    for kind in _FORMULA_NAMES:
+        for n in range(1, n_max + 1):
+            groups[kind, n] = make_standard_group(kind, 2 * n)
+            counts[kind, n] = burnside.burnside_count(n, groups[kind, n])
+    # one walk of the D_2n orbit minima per n gives the dihedral orbit
+    # count, the crossing histogram and the strict count
+    census = {n: oracle._dihedral_census(n, threads) for n in range(1, census_max + 1)}
+    strict = classic.strict_sequences(n_max).strict
+
+    def formula_vs_burnside(kind: str, n: int) -> str | None:
+        got, expected = counts[kind, n], _standard_formula(kind)(n)
+        if got != expected:
+            return f"n={n}: burnside {got} != formula {expected}"
+        return None
+
+    def burnside_vs_wreath(kind: str, n: int) -> str | None:
+        got, wreath = counts[kind, n], burnside._wreath_class_sum(n, groups[kind, n])
+        if wreath != got:
+            return f"n={n}: wreath class sum {wreath} != burnside {got}"
+        return None
+
+    def formula_vs_oracle(kind: str, n: int) -> str | None:
+        if kind == "dihedral" and n <= census_max:
+            summary = census[n][0]
+        else:
+            summary = oracle.orbit_count(n, groups[kind, n], threads=threads)
+        expected = _standard_formula(kind)(n)
+        if summary.orbit_count != expected:
+            return f"n={n}: oracle {summary.orbit_count} != {expected}"
+        mass = sum(s * k for s, k in summary.orbit_size_histogram.items())
+        if mass != closed_forms.diagram_count(n):
+            return f"n={n}: histogram mass {mass}"
+        return None
+
+    def rotation_fixed(n: int) -> str | None:
+        fixed_total = 0
+        for g in groups["cyclic", n].elements:
+            fixed = oracle.fixed_diagram_count(n, g)
+            expected = closed_forms.rotation_fixed_count(n, g.order())
+            if fixed != expected:
+                return f"n={n}, order {g.order()}: {fixed} != {expected}"
+            fixed_total += fixed
+        if fixed_total != 2 * n * closed_forms.cyclic_count(n):
+            return f"n={n}: Burnside average mismatch"
+        return None
+
+    def wreath_mass(n: int) -> str | None:
+        # the weights of every term that the class sums draw from, added up
+        # without grouping them by cycle type
+        total = sum(weight for _, weight in burnside._wreath_terms(n))
+        if total != 2**n * math.factorial(n):
+            return f"n={n}: total {total}"
+        return None
+
+    def crossings_vs_census(n: int) -> str | None:
+        if classic.crossing_polynomial(n).coefficients != census[n][1].coefficients:
+            return f"n={n}"
+        return None
+
+    def crossings_vs_transfer(n: int) -> str | None:
+        if classic.crossing_polynomial(n).coefficients != classic._crossing_transfer(n):
+            return f"n={n}"
+        return None
+
+    def strict_vs_census(n: int) -> str | None:
+        if strict[n - 1] != census[n][2]:
+            return f"n={n}"
+        return None
+
+    def strict_vs_inclusion_exclusion(n: int) -> str | None:
+        got, expected = classic._strict_inclusion_exclusion(n), strict[n - 1]
+        if got != expected:
+            return f"n={n}: inclusion-exclusion {got} != {expected}"
+        return None
+
+    # A line on stderr counts towards the failures and the exit code like
+    # any other; it is there because perfbench/pins.json pins verify's
+    # stdout byte for byte.
+    out, err = sys.stdout, sys.stderr
+    checks = []
+    for kind in _FORMULA_NAMES:
+        checks += [
+            (f"formula == burnside ({kind}, n <= {n_max})", n_max,
+             partial(formula_vs_burnside, kind), out),
+            (f"burnside == wreath class sum ({kind}, n <= {n_max})", n_max,
+             partial(burnside_vs_wreath, kind), err),
+        ]
+    for kind in _FORMULA_NAMES:
+        checks.append((f"formula == oracle ({kind}, n <= {oracle_max})", oracle_max,
+                       partial(formula_vs_oracle, kind), out))
+    return checks + [
+        (f"rotation fixed counts match closed form (n <= {rotation_max})", rotation_max,
+         rotation_fixed, out),
+        (f"wreath distribution mass == 2^n n! (n <= {n_max})", n_max, wreath_mass, out),
+        (f"crossing polynomial == crossing histogram (n <= {census_max})", census_max,
+         crossings_vs_census, out),
+        # the census's crossings share its pruning with the orbit counts, so
+        # a formula-free transfer count checks the polynomial on its own
+        (f"crossing polynomial == transfer count (n <= {census_max})", census_max,
+         crossings_vs_transfer, err),
+        (f"strict recurrence == strict enumeration (n <= {census_max})", census_max,
+         strict_vs_census, out),
+        # a second count of strict diagrams that needs no oracle, so it runs
+        # to n_max
+        (f"strict recurrence == inclusion-exclusion (n <= {n_max})", n_max,
+         strict_vs_inclusion_exclusion, err),
+    ]
+
+
+def _cmd_verify(args) -> int:
+    from . import oracle
+
     n_max = _require_order(args.n_max)
     if n_max > MAX_VERIFY_N:
         raise ResourceLimitError(f"verify capped at --n-max <= {MAX_VERIFY_N}, got {n_max}")
     cap = oracle.enumeration_cap()
-    if args.oracle_max is None:
-        oracle_max = min(n_max, 6)
-    else:
-        oracle_max = args.oracle_max
-        if oracle_max < 1:
-            # below 1 every oracle check would pass without testing anything
-            raise DomainError(f"--oracle-max must be at least 1, got {oracle_max}")
-        if oracle_max > n_max:
-            raise DomainError("--oracle-max cannot exceed --n-max")
-        if oracle_max > cap:
-            raise ResourceLimitError(
-                f"--oracle-max {oracle_max} exceeds the enumeration cap {cap}"
-            )
+    oracle_max = args.oracle_max
+    if oracle_max is None:
+        oracle_max = min(n_max, 6, cap)
+    elif oracle_max < 1:
+        # below 1 every oracle check would pass without testing anything
+        raise DomainError(f"--oracle-max must be at least 1, got {oracle_max}")
+    elif oracle_max > n_max:
+        raise DomainError("--oracle-max cannot exceed --n-max")
+    elif oracle_max > cap:
+        raise ResourceLimitError(f"--oracle-max {oracle_max} exceeds the enumeration cap {cap}")
     failures = 0
-
-    def report(name: str, ok: bool, detail: str = "", file=None):
-        nonlocal failures
-        if ok:
-            print(f"ok   {name}", file=file)
+    for label, last, detail_at, stream in _verify_checks(n_max, oracle_max, args.threads):
+        for n in range(1, last + 1):
+            detail = detail_at(n)
+            if detail is not None:
+                failures += 1
+                print(f"FAIL {label}: {detail}", file=stream)
+                break
         else:
-            failures += 1
-            print(f"FAIL {name}{': ' + detail if detail else ''}", file=file)
-
-    for kind in _FORMULA_NAMES:
-        formula = _standard_formula(kind)
-        # first mismatch of each line, "" while there is none
-        formula_detail = wreath_detail = ""
-        for n in range(1, n_max + 1):
-            group = make_standard_group(kind, 2 * n)
-            got = burnside.burnside_count(n, group)
-            expected = formula(n)
-            if got != expected and not formula_detail:
-                formula_detail = f"n={n}: burnside {got} != formula {expected}"
-            wreath = burnside._wreath_class_sum(n, group)
-            if wreath != got and not wreath_detail:
-                wreath_detail = f"n={n}: wreath class sum {wreath} != burnside {got}"
-        report(f"formula == burnside ({kind}, n <= {n_max})", not formula_detail, formula_detail)
-        # on stderr, because perfbench/pins.json pins verify's stdout byte
-        # for byte; it still counts towards the failures and the exit code
-        report(
-            f"burnside == wreath class sum ({kind}, n <= {n_max})",
-            not wreath_detail,
-            wreath_detail,
-            sys.stderr,
-        )
-
-    effective = min(oracle_max, cap)
-    # one walk of the D_2n orbit minima per n gives the dihedral orbit count,
-    # the crossing histogram and the strict count for the lines below
-    census_max = min(effective, 7)
-    census = {n: oracle._dihedral_census(n, threads) for n in range(1, census_max + 1)}
-    for kind in _FORMULA_NAMES:
-        formula = _standard_formula(kind)
-        ok = True
-        detail = ""
-        for n in range(1, effective + 1):
-            expected = formula(n)
-            if kind == "dihedral" and n in census:
-                summary = census[n][0]
-            else:
-                group = make_standard_group(kind, 2 * n)
-                summary = oracle.orbit_count(n, group, threads=threads)
-            if summary.orbit_count != expected:
-                ok, detail = False, f"n={n}: oracle {summary.orbit_count} != {expected}"
-                break
-            mass = sum(s * k for s, k in summary.orbit_size_histogram.items())
-            if mass != closed_forms.diagram_count(n):
-                ok, detail = False, f"n={n}: histogram mass {mass}"
-                break
-        report(f"formula == oracle ({kind}, n <= {effective})", ok, detail)
-
-    ok = True
-    detail = ""
-    for n in range(1, min(effective, 6) + 1):
-        group = make_standard_group("cyclic", 2 * n)
-        fixed_total = 0
-        for g in group.elements:
-            fixed = oracle.fixed_diagram_count(n, g)
-            fixed_total += fixed
-            expected = closed_forms.rotation_fixed_count(n, g.order())
-            if fixed != expected:
-                ok, detail = False, f"n={n}, order {g.order()}: {fixed} != {expected}"
-                break
-        if not ok:
-            break
-        if fixed_total != 2 * n * closed_forms.cyclic_count(n):
-            ok, detail = False, f"n={n}: Burnside average mismatch"
-            break
-    report(f"rotation fixed counts match closed form (n <= {min(effective, 6)})", ok, detail)
-
-    ok = True
-    detail = ""
-    for n in range(1, n_max + 1):
-        # the weights of every term that the class sums above draw from,
-        # added up without grouping them by cycle type
-        total = sum(weight for _, weight in burnside._wreath_terms(n))
-        if total != 2**n * math.factorial(n):
-            ok, detail = False, f"n={n}: total {total}"
-            break
-    report(f"wreath distribution mass == 2^n n! (n <= {n_max})", ok, detail)
-
-    ok = True
-    detail = ""
-    for n in range(1, census_max + 1):
-        if classic.crossing_polynomial(n).coefficients != census[n][1].coefficients:
-            ok, detail = False, f"n={n}"
-            break
-    report(f"crossing polynomial == crossing histogram (n <= {census_max})", ok, detail)
-
-    # the oracle's crossing walk shares its pruning with the orbit counts,
-    # so a formula-free transfer count checks the polynomial on its own
-    # (on stderr, like the wreath lines)
-    ok = True
-    detail = ""
-    for n in range(1, census_max + 1):
-        if classic.crossing_polynomial(n).coefficients != classic._crossing_transfer(n):
-            ok, detail = False, f"n={n}"
-            break
-    report(
-        f"crossing polynomial == transfer count (n <= {census_max})",
-        ok,
-        detail,
-        sys.stderr,
-    )
-
-    ok = True
-    detail = ""
-    seqs = classic.strict_sequences(n_max)
-    for n in range(1, census_max + 1):
-        if seqs.strict[n - 1] != census[n][2]:
-            ok, detail = False, f"n={n}"
-            break
-    report(f"strict recurrence == strict enumeration (n <= {census_max})", ok, detail)
-
-    # a second count of strict diagrams that needs no oracle, so it runs
-    # to n_max (on stderr, like the wreath lines)
-    ok = True
-    detail = ""
-    for n in range(1, n_max + 1):
-        got = classic._strict_inclusion_exclusion(n)
-        if got != seqs.strict[n - 1]:
-            ok, detail = False, f"n={n}: inclusion-exclusion {got} != {seqs.strict[n - 1]}"
-            break
-    report(f"strict recurrence == inclusion-exclusion (n <= {n_max})", ok, detail, sys.stderr)
-
+            print(f"ok   {label}", file=stream)
     print(f"{failures} failure(s)" if failures else "all checks passed")
     return 1 if failures else 0
 
@@ -493,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_count = sub.add_parser("count", help="count nonequivalent diagrams")
     p_count.add_argument("--n", type=int, required=True, help="diagram order")
     add_group_options(p_count, with_method=("formula", "burnside", "oracle"))
-    p_count.add_argument("--threads", type=int, default=1, help="workers for oracle runs")
+    p_count.add_argument("--threads", type=_threads, default=1, help="workers for oracle runs")
     p_count.set_defaults(handler=_cmd_count)
 
     p_table = sub.add_parser("table", help="growth table of counts and bounds")
@@ -513,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cross.add_argument("--n", type=int, required=True)
     p_cross.add_argument("--method", choices=("formula", "oracle"), default="formula")
     p_cross.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_cross.add_argument("--threads", type=int, default=1)
+    p_cross.add_argument("--threads", type=_threads, default=1)
     p_cross.set_defaults(handler=_cmd_crossings)
 
     p_strict = sub.add_parser("strict", help="strict diagram counts")
@@ -523,7 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="cross-check all computation paths")
     p_verify.add_argument("--n-max", dest="n_max", type=int, required=True)
     p_verify.add_argument("--oracle-max", dest="oracle_max", type=int, default=None)
-    p_verify.add_argument("--threads", type=int, default=1)
+    p_verify.add_argument("--threads", type=_threads, default=1)
     p_verify.set_defaults(handler=_cmd_verify)
 
     return parser

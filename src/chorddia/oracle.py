@@ -35,31 +35,33 @@ of the (2n-1)!! matchings:
   circle keeps interleaved chords interleaved and circle-adjacent points
   adjacent. So these paths walk only the D_2n orbit minima, with the
   orbits' hook, and add each minimum's orbit size |G| / |Stab| (orbit-
-  stabilizer) in place of 1. Crossings ride along in the state: when
-  chord (v, w) is placed, the matched points inside (v, w) all have
-  partners below v, so each is one crossing with (v, w); every crossing
-  is counted once, when its later chord is placed. Strict: a chord
+  stabilizer) in place of 1. Crossings are read from the census below,
+  where they ride along in the state: when chord (v, w) is placed, the
+  matched points inside (v, w) all have partners below v, so each is one
+  crossing with (v, w); every crossing is counted once, when its later
+  chord is placed. Strict keeps a walk of its own with a prune: a chord
   (v, v+1) or (0, 2n-1) is never placed; strict diagrams are a union of
   orbits, so that prune and the orbits' prune together reach exactly the
-  minima of the strict orbits.
+  minima of the strict orbits, about a third of the census's time.
 - fixed count: a chord (v, w) is skipped when g maps it, or maps a placed
   chord onto one of its points, inconsistently with what is placed;
   every matching reached is then fixed by g.
 
 Every orbit path runs one function, _orbit_walk(group, step, leaf): the
-orbits' hook, then an optional per-path step (the crossing count, the
-strict prune) on each placed chord, and at each orbit minimum a leaf that
-maps its partner array, its stabilizer and the step's state to a key,
-counted over all minima. orbit_count counts minima by stabilizer size,
-representatives keeps each minimum's partner array, and the crossing and
-strict paths weight each key by its orbit size. With no step _orbit_walk
-passes the orbits' hook to the walker as it is.
+orbits' hook, then an optional per-path step (the census's crossing count
+and strict flag, the strict prune) on each placed chord, and at each
+orbit minimum a leaf that maps its partner array, its stabilizer and the
+step's state to a key, counted over all minima. orbit_count counts
+minima by stabilizer size, representatives keeps each minimum's partner
+array, and the census and strict paths weight each key by its orbit
+size. With no step _orbit_walk passes the orbits' hook to the walker as
+it is.
 
-The census (_dihedral_census) is the walk verify runs for each n <= 7: one
-walk of the D_2n orbit minima whose step carries the crossing count and
-whether every chord so far is strict, which gives the orbit count, the
-orbit-size histogram, the crossing histogram and the strict count
-together, in place of three walks.
+The census (_dihedral_census) is one walk of the D_2n orbit minima whose
+step carries the crossing count and whether every chord so far is strict,
+which gives the orbit count, the orbit-size histogram, the crossing
+histogram and the strict count together. crossing_distribution returns
+its crossing histogram, and verify reads all four for each n <= 7.
 
 The walk is split into the 2n-1 independent branches fixed by the partner
 of point 0. Each branch returns its Counter of keys and the Counters add
@@ -346,12 +348,6 @@ def representatives(n: int, group: PermGroup) -> list[ChordDiagram]:
     return [ChordDiagram._unchecked(p) for p in _orbit_walk(group, None, _partner_tuple)]
 
 
-def _crossing_step(partner, v, w, crossings: int) -> int:
-    # every matched point strictly inside (v, w) has its partner below v
-    inside = partner[v + 1:w]
-    return crossings + len(inside) - inside.count(-1)
-
-
 def _strict_step(partner, v, w, state):
     # a chord joining circle-adjacent points makes a diagram not strict
     if w == v + 1 or (v == 0 and w == len(partner) - 1):
@@ -360,23 +356,12 @@ def _strict_step(partner, v, w, state):
 
 
 def _census_step(partner, v, w, state: tuple[int, bool]) -> tuple[int, bool]:
-    """_crossing_step's count, and whether _strict_step has passed every chord."""
+    """Crossings so far, and whether _strict_step has passed every chord."""
     crossings, strict = state
+    # every matched point strictly inside (v, w) has its partner below v
     inside = partner[v + 1:w]
     adjacent = w == v + 1 or (v == 0 and w == len(partner) - 1)
     return crossings + len(inside) - inside.count(-1), strict and not adjacent
-
-
-def crossing_distribution(n: int, threads: int | None = None) -> CrossingPolynomial:
-    """Histogram of diagrams by crossing number, by direct counting."""
-    _check_n(n)
-    threads = _resolve_threads(threads)
-    group = make_standard_group("dihedral", 2 * n)
-    leaves = _orbit_walk(group, _crossing_step, _stabilizer_size_and_state, 0, threads)
-    coeffs = [0] * (n * (n - 1) // 2 + 1)
-    for (k, crossings), count in leaves.items():
-        coeffs[crossings] += count * (group.order // (1 + k))
-    return CrossingPolynomial(n=n, coefficients=tuple(coeffs))
 
 
 def strict_count(n: int) -> int:
@@ -412,3 +397,8 @@ def _dihedral_census(
         orbit_size_histogram=_orbit_sizes(group.order, by_stabilizer),
     )
     return summary, CrossingPolynomial(n=n, coefficients=tuple(coeffs)), strict
+
+
+def crossing_distribution(n: int, threads: int | None = None) -> CrossingPolynomial:
+    """Histogram of diagrams by crossing number, by direct counting."""
+    return _dihedral_census(n, threads)[1]

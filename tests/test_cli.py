@@ -506,6 +506,141 @@ class TestStrictCommand:
         assert "Traceback" not in proc.stderr
 
 
+# verify"s exit code, stdout and stderr for the argv sets below, recorded
+# from the release before its checks became one table
+VERIFY_GOLDEN = {
+    "--n-max 16 --oracle-max 4": (
+        0,
+        (
+            "ok   formula == burnside (identity, n <= 16)\n"
+            "ok   formula == burnside (cyclic, n <= 16)\n"
+            "ok   formula == burnside (dihedral, n <= 16)\n"
+            "ok   formula == oracle (identity, n <= 4)\n"
+            "ok   formula == oracle (cyclic, n <= 4)\n"
+            "ok   formula == oracle (dihedral, n <= 4)\n"
+            "ok   rotation fixed counts match closed form (n <= 4)\n"
+            "ok   wreath distribution mass == 2^n n! (n <= 16)\n"
+            "ok   crossing polynomial == crossing histogram (n <= 4)\n"
+            "ok   strict recurrence == strict enumeration (n <= 4)\n"
+            "all checks passed\n"
+        ),
+        (
+            "ok   burnside == wreath class sum (identity, n <= 16)\n"
+            "ok   burnside == wreath class sum (cyclic, n <= 16)\n"
+            "ok   burnside == wreath class sum (dihedral, n <= 16)\n"
+            "ok   crossing polynomial == transfer count (n <= 4)\n"
+            "ok   strict recurrence == inclusion-exclusion (n <= 16)\n"
+        ),
+    ),
+    "--n-max 7 --oracle-max 7": (
+        0,
+        (
+            "ok   formula == burnside (identity, n <= 7)\n"
+            "ok   formula == burnside (cyclic, n <= 7)\n"
+            "ok   formula == burnside (dihedral, n <= 7)\n"
+            "ok   formula == oracle (identity, n <= 7)\n"
+            "ok   formula == oracle (cyclic, n <= 7)\n"
+            "ok   formula == oracle (dihedral, n <= 7)\n"
+            "ok   rotation fixed counts match closed form (n <= 6)\n"
+            "ok   wreath distribution mass == 2^n n! (n <= 7)\n"
+            "ok   crossing polynomial == crossing histogram (n <= 7)\n"
+            "ok   strict recurrence == strict enumeration (n <= 7)\n"
+            "all checks passed\n"
+        ),
+        (
+            "ok   burnside == wreath class sum (identity, n <= 7)\n"
+            "ok   burnside == wreath class sum (cyclic, n <= 7)\n"
+            "ok   burnside == wreath class sum (dihedral, n <= 7)\n"
+            "ok   crossing polynomial == transfer count (n <= 7)\n"
+            "ok   strict recurrence == inclusion-exclusion (n <= 7)\n"
+        ),
+    ),
+    "--n-max 5 --oracle-max 3": (
+        0,
+        (
+            "ok   formula == burnside (identity, n <= 5)\n"
+            "ok   formula == burnside (cyclic, n <= 5)\n"
+            "ok   formula == burnside (dihedral, n <= 5)\n"
+            "ok   formula == oracle (identity, n <= 3)\n"
+            "ok   formula == oracle (cyclic, n <= 3)\n"
+            "ok   formula == oracle (dihedral, n <= 3)\n"
+            "ok   rotation fixed counts match closed form (n <= 3)\n"
+            "ok   wreath distribution mass == 2^n n! (n <= 5)\n"
+            "ok   crossing polynomial == crossing histogram (n <= 3)\n"
+            "ok   strict recurrence == strict enumeration (n <= 3)\n"
+            "all checks passed\n"
+        ),
+        (
+            "ok   burnside == wreath class sum (identity, n <= 5)\n"
+            "ok   burnside == wreath class sum (cyclic, n <= 5)\n"
+            "ok   burnside == wreath class sum (dihedral, n <= 5)\n"
+            "ok   crossing polynomial == transfer count (n <= 3)\n"
+            "ok   strict recurrence == inclusion-exclusion (n <= 5)\n"
+        ),
+    ),
+    "--n-max 4": (
+        0,
+        (
+            "ok   formula == burnside (identity, n <= 4)\n"
+            "ok   formula == burnside (cyclic, n <= 4)\n"
+            "ok   formula == burnside (dihedral, n <= 4)\n"
+            "ok   formula == oracle (identity, n <= 4)\n"
+            "ok   formula == oracle (cyclic, n <= 4)\n"
+            "ok   formula == oracle (dihedral, n <= 4)\n"
+            "ok   rotation fixed counts match closed form (n <= 4)\n"
+            "ok   wreath distribution mass == 2^n n! (n <= 4)\n"
+            "ok   crossing polynomial == crossing histogram (n <= 4)\n"
+            "ok   strict recurrence == strict enumeration (n <= 4)\n"
+            "all checks passed\n"
+        ),
+        (
+            "ok   burnside == wreath class sum (identity, n <= 4)\n"
+            "ok   burnside == wreath class sum (cyclic, n <= 4)\n"
+            "ok   burnside == wreath class sum (dihedral, n <= 4)\n"
+            "ok   crossing polynomial == transfer count (n <= 4)\n"
+            "ok   strict recurrence == inclusion-exclusion (n <= 4)\n"
+        ),
+    ),
+    "--n-max 1": (
+        0,
+        (
+            "ok   formula == burnside (identity, n <= 1)\n"
+            "ok   formula == burnside (cyclic, n <= 1)\n"
+            "ok   formula == burnside (dihedral, n <= 1)\n"
+            "ok   formula == oracle (identity, n <= 1)\n"
+            "ok   formula == oracle (cyclic, n <= 1)\n"
+            "ok   formula == oracle (dihedral, n <= 1)\n"
+            "ok   rotation fixed counts match closed form (n <= 1)\n"
+            "ok   wreath distribution mass == 2^n n! (n <= 1)\n"
+            "ok   crossing polynomial == crossing histogram (n <= 1)\n"
+            "ok   strict recurrence == strict enumeration (n <= 1)\n"
+            "all checks passed\n"
+        ),
+        (
+            "ok   burnside == wreath class sum (identity, n <= 1)\n"
+            "ok   burnside == wreath class sum (cyclic, n <= 1)\n"
+            "ok   burnside == wreath class sum (dihedral, n <= 1)\n"
+            "ok   crossing polynomial == transfer count (n <= 1)\n"
+            "ok   strict recurrence == inclusion-exclusion (n <= 1)\n"
+        ),
+    ),
+    "--n-max 3 --oracle-max 5": (
+        2,
+        "",
+        (
+            "error: --oracle-max cannot exceed --n-max\n"
+        ),
+    ),
+    "--n-max 0": (
+        2,
+        "",
+        (
+            "error: n must be >= 1\n"
+        ),
+    ),
+}
+
+
 class TestVerify:
     def test_small_run_passes(self, capsys):
         assert run(["verify", "--n-max", "4"]) == 0
@@ -696,6 +831,41 @@ class TestVerify:
         monkeypatch.setenv("CHORDDIA_ORACLE_CAP", "2")
         assert run(["verify", "--n-max", "5", "--oracle-max", "5"]) == 3
         capsys.readouterr()
+
+    @pytest.mark.parametrize("argv", sorted(VERIFY_GOLDEN))
+    def test_golden_output(self, capsys, argv):
+        code, out, err = VERIFY_GOLDEN[argv]
+        assert run(["verify", *argv.split()]) == code
+        assert capsys.readouterr() == (out, err)
+
+    def test_first_failure_detail(self, capsys, monkeypatch):
+        # one stdout line and one stderr line fail at n = 2 and n = 3; each
+        # reports n = 2 only, and both count towards the summary
+        from chorddia import burnside, classic
+
+        terms = burnside._wreath_terms
+        strict = classic._strict_inclusion_exclusion
+
+        def heavier(n, eta=None):
+            # one extra unit of mass; the class sums pass eta and never see it
+            yield from terms(n, eta)
+            if eta is None and n in (2, 3):
+                yield None, 1
+
+        def off_by_one(n):
+            return strict(n) + (n in (2, 3))
+
+        monkeypatch.setattr(burnside, "_wreath_terms", heavier)
+        monkeypatch.setattr(classic, "_strict_inclusion_exclusion", off_by_one)
+        assert run(["verify", "--n-max", "4", "--oracle-max", "2"]) == 1
+        out, err = capsys.readouterr()
+        assert "FAIL wreath distribution mass == 2^n n! (n <= 4): n=2: total 9\n" in out
+        assert (
+            "FAIL strict recurrence == inclusion-exclusion (n <= 4):"
+            " n=2: inclusion-exclusion 2 != 1\n" in err
+        )
+        assert "n=3" not in out + err
+        assert out.endswith("2 failure(s)\n")
 
 
 class TestRenderSvg:

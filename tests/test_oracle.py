@@ -187,12 +187,15 @@ class TestDihedralCensus:
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
     def test_equals_the_three_walks(self, n, threads):
+        from chorddia.classic import CrossingPolynomial, _crossing_transfer
         from chorddia.oracle import _dihedral_census
 
         group = make_standard_group("dihedral", 2 * n)
+        # crossing_distribution reads the census, so the crossings are
+        # checked against the transfer count, which walks no matching
         assert _dihedral_census(n, threads) == (
             orbit_count(n, group, threads=threads),
-            crossing_distribution(n, threads=threads),
+            CrossingPolynomial(n, _crossing_transfer(n)),
             strict_count(n),
         )
 
