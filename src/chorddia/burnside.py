@@ -36,10 +36,6 @@ class WreathTypeDistribution(Record):
     n: int
     entries: Mapping[CycleType, int]
 
-    def __init__(self, n: int, entries: Mapping[CycleType, int]):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "entries", entries)
-
     @property
     def total(self) -> int:
         return sum(self.entries.values())

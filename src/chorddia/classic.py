@@ -26,10 +26,6 @@ class CrossingPolynomial(Record):
     n: int
     coefficients: tuple[int, ...]
 
-    def __init__(self, n: int, coefficients: tuple[int, ...]):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "coefficients", coefficients)
-
     @property
     def total(self) -> int:
         return sum(self.coefficients)
@@ -46,10 +42,6 @@ class StrictSequences(Record):
     __slots__ = ("cumulative", "strict")
     cumulative: tuple[int, ...]
     strict: tuple[int, ...]
-
-    def __init__(self, cumulative: tuple[int, ...], strict: tuple[int, ...]):
-        object.__setattr__(self, "cumulative", cumulative)
-        object.__setattr__(self, "strict", strict)
 
 
 def catalan_noncrossing(n: int) -> int:

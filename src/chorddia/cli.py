@@ -141,9 +141,17 @@ def _resolve_group(args, n: int) -> PermGroup:
 
 # the closed forms' big products and their decimal output grow as about n^2:
 # `count --group dihedral --n 70000`, the slowest of the three, takes about
-# 10 s on a 2-vCPU machine (cyclic 7 s). The burnside and oracle paths are
-# bounded by the group's stored entries and the enumeration cap.
+# 10 s on a 2-vCPU machine (cyclic 7 s). The oracle path is bounded by the
+# enumeration cap.
 MAX_COUNT_N = 70000
+# A Burnside count evaluates one fixed count of up to n log10(2n/e) digits
+# per cycle type of the group, and a group file picks its types: the group
+# may hold up to MAX_CLOSURE_ENTRIES / 2n elements. On a 2-vCPU machine the
+# identity group took 5.0 s at n = 80000 and 22 s at 160000; group files of
+# k generators that swap 1, 2, 4, ... disjoint pairs (2^k cycle types) took
+# 8.4-10.1 s with k = 8 at n = 10000, 4.6 s with k = 9 at n = 5000, and
+# 10.9 s and 40 s with k = 6 at n = 20000 and 40000.
+MAX_BURNSIDE_N = 10000
 
 
 def _cmd_count(args) -> int:
@@ -152,9 +160,11 @@ def _cmd_count(args) -> int:
     method = args.method or ("burnside" if args.group_file else "formula")
     if args.group_file and method == "formula":
         raise DomainError("--method formula needs a standard group; use burnside or oracle")
+    # refused before any group is built or group file read
+    bound = {"formula": MAX_COUNT_N, "burnside": MAX_BURNSIDE_N}.get(method)
+    if bound is not None and n > bound:
+        raise ResourceLimitError(f"{method} count capped at --n <= {bound}, got {n}")
     if method == "formula":
-        if n > MAX_COUNT_N:
-            raise ResourceLimitError(f"count capped at --n <= {MAX_COUNT_N}, got {n}")
         value = _standard_formula(args.group)(n)
     elif method == "burnside":
         from . import burnside
@@ -304,8 +314,9 @@ def _cmd_strict(args) -> int:
 
 # the wreath mass line walks every pair-permutation type and split choice
 # for each n <= --n-max (589,128 terms at n = 30), about 1.35 times more
-# per step of n: `verify --n-max 35` takes about 10 s on a 2-vCPU machine
-# (--n-max 30 about 2 s)
+# per step of n, and the transfer count line adds about 1.1 s at 35 (0.03 s
+# at 16): `verify --n-max 35` takes about 10 s on a 2-vCPU machine
+# (--n-max 30 about 2.7 s)
 MAX_VERIFY_N = 35
 
 
@@ -419,8 +430,9 @@ def _verify_checks(n_max: int, oracle_max: int, threads: int) -> list[tuple]:
         (f"crossing polynomial == crossing histogram (n <= {census_max})", census_max,
          crossings_vs_census, out),
         # the census's crossings share its pruning with the orbit counts, so
-        # a formula-free transfer count checks the polynomial on its own
-        (f"crossing polynomial == transfer count (n <= {census_max})", census_max,
+        # a formula-free transfer count checks the polynomial on its own; it
+        # walks no matching, so it runs to n_max
+        (f"crossing polynomial == transfer count (n <= {n_max})", n_max,
          crossings_vs_transfer, err),
         (f"strict recurrence == strict enumeration (n <= {census_max})", census_max,
          strict_vs_census, out),

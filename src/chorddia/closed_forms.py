@@ -156,13 +156,6 @@ class AsymptoticBound(Record):
     denominator: int
     exact_floor: int
 
-    def __init__(self, kind: str, n: int, numerator: int, denominator: int, exact_floor: int):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "numerator", numerator)
-        object.__setattr__(self, "denominator", denominator)
-        object.__setattr__(self, "exact_floor", exact_floor)
-
     @property
     def as_fraction(self) -> Fraction:
         from fractions import Fraction

@@ -21,8 +21,8 @@ class ChordDiagram(Record):
     __slots__ = ("partner",)
     partner: tuple[int, ...]
 
-    def __init__(self, partner: tuple[int, ...]):
-        object.__setattr__(self, "partner", partner)
+    def _check(self):
+        partner = self.partner
         n2 = len(partner)
         if n2 % 2:
             raise DomainError("diagram needs an even number of points")

@@ -33,15 +33,39 @@ def exact_div(numerator: int, denominator: int, context: str) -> int:
 class Record:
     """Base of the package's immutable value types.
 
-    A subclass names its fields, in order, in ``__slots__`` and stores them
-    in its own ``__init__`` with ``object.__setattr__``. An instance equals
-    only an instance of the same class with equal fields, hashes as the
-    tuple of its fields, prints as ``Name(field=value, ...)``, refuses
-    assignment and deletion, and pickles by calling the class with its
-    fields (so unpickling validates again).
+    A subclass names its fields, in order, in ``__slots__``; Record's one
+    constructor binds them by position or by name, the way a function binds
+    its parameters (a missing, unknown, repeated or surplus field is a
+    TypeError), and then calls ``_check``, which a subclass overrides to
+    validate its fields. An instance equals only an instance of the same
+    class with equal fields, hashes as the tuple of its fields, prints as
+    ``Name(field=value, ...)``, refuses assignment and deletion, and pickles
+    by calling the class with its fields (so unpickling validates again).
     """
 
     __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        cls = self.__class__.__qualname__
+        if len(args) > len(names):
+            raise TypeError(f"{cls}() takes {len(names)} fields but {len(args)} were given")
+        values = dict(zip(names, args))
+        for name, value in kwargs.items():
+            if name not in names:
+                raise TypeError(f"{cls}() got an unexpected field {name!r}")
+            if name in values:
+                raise TypeError(f"{cls}() got field {name!r} twice")
+            values[name] = value
+        for name in names:
+            if name not in values:
+                raise TypeError(f"{cls}() missing field {name!r}")
+            object.__setattr__(self, name, values[name])
+        self._check()
+
+    def _check(self) -> None:
+        """Validate the bound fields, raising DomainError; a subclass with
+        nothing to validate keeps this one, which accepts everything."""
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])

@@ -33,8 +33,8 @@ class CycleType(Record):
     __slots__ = ("parts",)
     parts: tuple[tuple[int, int], ...]
 
-    def __init__(self, parts: tuple[tuple[int, int], ...]):
-        object.__setattr__(self, "parts", parts)
+    def _check(self):
+        parts = self.parts
         for length, mult in parts:
             if length < 1 or mult < 1:
                 raise DomainError(f"invalid cycle type entry {length}^{mult}")
@@ -79,8 +79,8 @@ class GroupElement(Record):
     __slots__ = ("images",)
     images: tuple[int, ...]
 
-    def __init__(self, images: tuple[int, ...]):
-        object.__setattr__(self, "images", images)
+    def _check(self):
+        images = self.images
         if sorted(images) != list(range(len(images))):
             raise DomainError("images must be a bijection on [0, size)")
 
@@ -149,10 +149,6 @@ class PermGroup(Record):
     __slots__ = ("size", "elements")
     size: int
     elements: tuple[GroupElement, ...]
-
-    def __init__(self, size: int, elements: tuple[GroupElement, ...]):
-        object.__setattr__(self, "size", size)
-        object.__setattr__(self, "elements", elements)
 
     @property
     def order(self) -> int:

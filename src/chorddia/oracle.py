@@ -33,35 +33,32 @@ of the (2n-1)!! matchings:
 - crossings and strict: both are constant on the orbits of the dihedral
   group D_2n (order 4n for n >= 2), since a rotation or reflection of the
   circle keeps interleaved chords interleaved and circle-adjacent points
-  adjacent. So these paths walk only the D_2n orbit minima, with the
-  orbits' hook, and add each minimum's orbit size |G| / |Stab| (orbit-
-  stabilizer) in place of 1. Crossings are read from the census below,
-  where they ride along in the state: when chord (v, w) is placed, the
-  matched points inside (v, w) all have partners below v, so each is one
-  crossing with (v, w); every crossing is counted once, when its later
-  chord is placed. Strict keeps a walk of its own with a prune: a chord
-  (v, v+1) or (0, 2n-1) is never placed; strict diagrams are a union of
-  orbits, so that prune and the orbits' prune together reach exactly the
-  minima of the strict orbits, about a third of the census's time.
+  adjacent. So both are read from the census below, which walks only the
+  D_2n orbit minima, with the orbits' hook, and adds each minimum's orbit
+  size |G| / |Stab| (orbit-stabilizer) in place of 1. Both ride along in
+  the state: when chord (v, w) is placed, the matched points inside
+  (v, w) all have partners below v, so each is one crossing with (v, w),
+  and every crossing is counted once, when its later chord is placed; a
+  diagram stays strict until a chord (v, v+1) or (0, 2n-1) is placed.
 - fixed count: a chord (v, w) is skipped when g maps it, or maps a placed
   chord onto one of its points, inconsistently with what is placed;
   every matching reached is then fixed by g.
 
 Every orbit path runs one function, _orbit_walk(group, step, leaf): the
 orbits' hook, then an optional per-path step (the census's crossing count
-and strict flag, the strict prune) on each placed chord, and at each
-orbit minimum a leaf that maps its partner array, its stabilizer and the
-step's state to a key, counted over all minima. orbit_count counts
-minima by stabilizer size, representatives keeps each minimum's partner
-array, and the census and strict paths weight each key by its orbit
-size. With no step _orbit_walk passes the orbits' hook to the walker as
-it is.
+and strict flag) on each placed chord, and at each orbit minimum a leaf
+that maps its partner array, its stabilizer and the step's state to a
+key, counted over all minima. orbit_count counts minima by stabilizer
+size, representatives keeps each minimum's partner array, and the census
+weights each key by its orbit size. With no step _orbit_walk passes the
+orbits' hook to the walker as it is.
 
 The census (_dihedral_census) is one walk of the D_2n orbit minima whose
 step carries the crossing count and whether every chord so far is strict,
 which gives the orbit count, the orbit-size histogram, the crossing
 histogram and the strict count together. crossing_distribution returns
-its crossing histogram, and verify reads all four for each n <= 7.
+its crossing histogram, strict_count its strict count, and verify reads
+all four for each n <= 7.
 
 The walk is split into the 2n-1 independent branches fixed by the partner
 of point 0. Each branch returns its Counter of keys and the Counters add
@@ -92,14 +89,6 @@ class OrbitSummary(Record):
     group_order: int
     orbit_count: int
     orbit_size_histogram: dict[int, int]
-
-    def __init__(
-        self, n: int, group_order: int, orbit_count: int, orbit_size_histogram: dict[int, int]
-    ):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "group_order", group_order)
-        object.__setattr__(self, "orbit_count", orbit_count)
-        object.__setattr__(self, "orbit_size_histogram", orbit_size_histogram)
 
 
 def enumeration_cap() -> int:
@@ -348,28 +337,14 @@ def representatives(n: int, group: PermGroup) -> list[ChordDiagram]:
     return [ChordDiagram._unchecked(p) for p in _orbit_walk(group, None, _partner_tuple)]
 
 
-def _strict_step(partner, v, w, state):
-    # a chord joining circle-adjacent points makes a diagram not strict
-    if w == v + 1 or (v == 0 and w == len(partner) - 1):
-        return None
-    return state
-
-
 def _census_step(partner, v, w, state: tuple[int, bool]) -> tuple[int, bool]:
-    """Crossings so far, and whether _strict_step has passed every chord."""
+    """Crossings so far, and whether no chord so far joins circle-adjacent
+    points."""
     crossings, strict = state
     # every matched point strictly inside (v, w) has its partner below v
     inside = partner[v + 1:w]
     adjacent = w == v + 1 or (v == 0 and w == len(partner) - 1)
     return crossings + len(inside) - inside.count(-1), strict and not adjacent
-
-
-def strict_count(n: int) -> int:
-    """Number of diagrams with no chord joining circle-adjacent points."""
-    _check_n(n)
-    group = make_standard_group("dihedral", 2 * n)
-    leaves = _orbit_walk(group, _strict_step, _stabilizer_size, True)
-    return sum(count * (group.order // (1 + k)) for k, count in leaves.items())
 
 
 def _dihedral_census(
@@ -402,3 +377,9 @@ def _dihedral_census(
 def crossing_distribution(n: int, threads: int | None = None) -> CrossingPolynomial:
     """Histogram of diagrams by crossing number, by direct counting."""
     return _dihedral_census(n, threads)[1]
+
+
+def strict_count(n: int) -> int:
+    """Number of diagrams with no chord joining circle-adjacent points, by
+    direct counting."""
+    return _dihedral_census(n)[2]

@@ -127,10 +127,55 @@ class TestCount:
         assert run(["count", "--group", "dihedral", "--n", "5"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "count capped at --n <= 4, got 5" in captured.err
+        assert "formula count capped at --n <= 4, got 5" in captured.err
         # the other paths have their own bounds
         assert run(["count", "--group", "dihedral", "--n", "5", "--method", "burnside"]) == 0
         assert capsys.readouterr().out == "79\n"
+
+    def test_burnside_work_bound(self, tmp_path, capsys, monkeypatch):
+        from chorddia import cli, groups
+
+        path = tmp_path / "c10.json"
+        path.write_text(json.dumps({"points": 10, "elements": [[2, 3, 4, 5, 6, 7, 8, 9, 10, 1]]}))
+        monkeypatch.setattr(cli, "MAX_BURNSIDE_N", 5)
+        assert run(["count", "--group", "dihedral", "--n", "5", "--method", "burnside"]) == 0
+        assert capsys.readouterr().out == "79\n"
+        assert run(["count", "--n", "5", "--group-file", str(path)]) == 0
+        assert capsys.readouterr().out == "105\n"
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a group was built or read past the bound")
+
+        monkeypatch.setattr(groups, "generate_group", refuse)
+        monkeypatch.setattr(groups, "make_standard_group", refuse)
+        monkeypatch.setattr(cli, "load_group_file", refuse)
+        for extra in (["--group", "identity"], ["--group-file", str(path)]):
+            assert run(["count", "--n", "6", "--method", "burnside", *extra]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "burnside count capped at --n <= 5, got 6" in captured.err
+        # the formula path keeps its own bound
+        assert run(["count", "--group", "dihedral", "--n", "6"]) == 0
+        assert capsys.readouterr().out == "554\n"
+
+    @pytest.mark.parametrize("source", ["identity", "empty-file"])
+    def test_huge_burnside_count_exits_before_any_work(self, tmp_path, source):
+        # the identity group on 2 * 10^6 points passes the closure's entry
+        # bound, and so does a file that lists no elements; each class sum
+        # ran on past 20 s
+        if source == "identity":
+            group = ["--group", "identity", "--method", "burnside"]
+        else:
+            path = tmp_path / "empty.json"
+            path.write_text('{"points": 2000000, "elements": []}')
+            group = ["--group-file", str(path)]
+        proc = run_module(
+            "count", "--n", "1000000", *group, address_space=600 * 2**20, timeout=30
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert "burnside count capped at --n <= 10000, got 1000000" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_huge_formula_count_exits_before_any_work(self):
         proc = run_module(
@@ -139,13 +184,13 @@ class TestCount:
         )
         assert proc.returncode == 3
         assert proc.stdout == ""
-        assert "count capped at --n <= 70000, got 200000" in proc.stderr
+        assert "formula count capped at --n <= 70000, got 200000" in proc.stderr
         assert "Traceback" not in proc.stderr
 
     def test_standard_group_entry_bound(self):
-        # C_200000 would store 4 * 10^10 image entries; nothing is built
+        # C_20000 would store 4 * 10^8 image entries; nothing is built
         proc = run_module(
-            "count", "--method", "burnside", "--group", "cyclic", "--n", "100000",
+            "count", "--method", "burnside", "--group", "cyclic", "--n", "10000",
             address_space=600 * 2**20,
         )
         assert proc.returncode == 3
@@ -250,26 +295,28 @@ class TestCount:
         assert "2 elements of 6 points, more than 11 image entries" in captured.err
 
     @pytest.mark.parametrize(
-        "elements,code,message",
+        "elements,error,message",
         [
             # the row's length is checked before a 2 * 10^8 range is built
-            ([[1]], 2, "is not a 1-based bijection"),
+            ([[1]], "DomainError", "is not a 1-based bijection"),
             # the identity alone would pass the closure's entry bound
-            ([], 3, "stored image entries"),
+            ([], "ResourceLimitError", "stored image entries"),
         ],
         ids=["short-row", "no-elements"],
     )
-    def test_group_file_huge_points(self, tmp_path, elements, code, message):
+    def test_group_file_huge_points(self, tmp_path, elements, error, message):
+        # `count` refuses so large an n before it reads the file, so the
+        # loader is called on its own
         path = tmp_path / "huge.json"
         path.write_text(json.dumps({"points": 200000000, "elements": elements}))
-        proc = run_module(
-            "count", "--n", "100000000", "--group-file", str(path),
-            address_space=600 * 2**20,
+        proc = run_python(
+            "-c", "import sys; from chorddia import cli; cli.load_group_file(sys.argv[1])",
+            str(path), address_space=600 * 2**20,
         )
-        assert proc.returncode == code
-        assert proc.stdout == ""
+        assert proc.returncode == 1
+        assert f"chorddia.errors.{error}: " in proc.stderr
         assert message in proc.stderr
-        assert "Traceback" not in proc.stderr
+        assert "MemoryError" not in proc.stderr
 
     def test_group_file_endless(self):
         # only the first MAX_GROUP_FILE_BYTES + 1 bytes are read
@@ -507,7 +554,8 @@ class TestStrictCommand:
 
 
 # verify"s exit code, stdout and stderr for the argv sets below, recorded
-# from the release before its checks became one table
+# from the release before its checks became one table; since then only the
+# transfer count line's last n has changed, from the oracle's to --n-max
 VERIFY_GOLDEN = {
     "--n-max 16 --oracle-max 4": (
         0,
@@ -528,7 +576,7 @@ VERIFY_GOLDEN = {
             "ok   burnside == wreath class sum (identity, n <= 16)\n"
             "ok   burnside == wreath class sum (cyclic, n <= 16)\n"
             "ok   burnside == wreath class sum (dihedral, n <= 16)\n"
-            "ok   crossing polynomial == transfer count (n <= 4)\n"
+            "ok   crossing polynomial == transfer count (n <= 16)\n"
             "ok   strict recurrence == inclusion-exclusion (n <= 16)\n"
         ),
     ),
@@ -574,7 +622,7 @@ VERIFY_GOLDEN = {
             "ok   burnside == wreath class sum (identity, n <= 5)\n"
             "ok   burnside == wreath class sum (cyclic, n <= 5)\n"
             "ok   burnside == wreath class sum (dihedral, n <= 5)\n"
-            "ok   crossing polynomial == transfer count (n <= 3)\n"
+            "ok   crossing polynomial == transfer count (n <= 5)\n"
             "ok   strict recurrence == inclusion-exclusion (n <= 5)\n"
         ),
     ),
@@ -703,9 +751,10 @@ class TestVerify:
             assert "Traceback" not in proc.stderr
 
     def test_transfer_count_line(self, capsys):
+        # it walks no matching, so it runs past the oracle to --n-max
         assert run(["verify", "--n-max", "4", "--oracle-max", "3"]) == 0
         captured = capsys.readouterr()
-        assert "ok   crossing polynomial == transfer count (n <= 3)" in captured.err
+        assert "ok   crossing polynomial == transfer count (n <= 4)" in captured.err
         assert "transfer count" not in captured.out
 
     def test_transfer_count_mismatch_fails(self, capsys, monkeypatch):
@@ -900,10 +949,15 @@ class TestRenderSvg:
 
 
 def run_module(*args, address_space=None, timeout=120):
-    """python -m chorddia ARGS, importing the package these tests import;
-    address_space caps the child's virtual memory in bytes. A child still
-    running after timeout seconds is killed and the test fails, so a lost
-    work bound cannot hang the suite."""
+    """python -m chorddia ARGS; see run_python."""
+    return run_python("-m", "chorddia", *args, address_space=address_space, timeout=timeout)
+
+
+def run_python(*args, address_space=None, timeout=120):
+    """python ARGS, importing the package these tests import; address_space
+    caps the child's virtual memory in bytes. A child still running after
+    timeout seconds is killed and the test fails, so a lost work bound
+    cannot hang the suite."""
     src = str(Path(chorddia.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
 
@@ -911,7 +965,7 @@ def run_module(*args, address_space=None, timeout=120):
         resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
 
     return subprocess.run(
-        [sys.executable, "-m", "chorddia", *args],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},

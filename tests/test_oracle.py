@@ -187,16 +187,21 @@ class TestDihedralCensus:
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
     def test_equals_the_three_walks(self, n, threads):
-        from chorddia.classic import CrossingPolynomial, _crossing_transfer
+        from chorddia.classic import (
+            CrossingPolynomial,
+            _crossing_transfer,
+            _strict_inclusion_exclusion,
+        )
         from chorddia.oracle import _dihedral_census
 
         group = make_standard_group("dihedral", 2 * n)
-        # crossing_distribution reads the census, so the crossings are
-        # checked against the transfer count, which walks no matching
+        # crossing_distribution and strict_count read the census, so the
+        # crossings are checked against the transfer count and the strict
+        # count against inclusion-exclusion, neither of which walks a matching
         assert _dihedral_census(n, threads) == (
             orbit_count(n, group, threads=threads),
             CrossingPolynomial(n, _crossing_transfer(n)),
-            strict_count(n),
+            _strict_inclusion_exclusion(n),
         )
 
     def test_cap(self, monkeypatch):

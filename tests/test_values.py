@@ -138,6 +138,50 @@ def test_unpickling_validates():
         pickle.loads(data)
 
 
+@pytest.mark.parametrize(
+    "value,old,new",
+    [
+        (CycleType(((1, 2),)), b"I2\n", b"I0\n"),
+        (ChordDiagram((1, 0, 3, 2)), b"I3\n", b"I2\n"),
+    ],
+    ids=["CycleType", "ChordDiagram"],
+)
+def test_unpickling_validates_every_checked_type(value, old, new):
+    data = pickle.dumps(value, 0)
+    assert data.count(old) == 1
+    with pytest.raises(DomainError):
+        pickle.loads(data.replace(old, new))
+
+
+@pytest.mark.parametrize("cls,fields,text", CASES, ids=IDS)
+def test_fields_bind_by_position_or_name(cls, fields, text):
+    # Record's one constructor binds every value type
+    assert "__init__" not in vars(cls)
+    # the first field by position and the rest by name, in any order
+    first, *rest = fields.items()
+    mixed = cls(first[1], **dict(reversed(rest)))
+    assert mixed == cls(*fields.values()) == cls(**fields)
+    assert repr(mixed) == text
+
+
+@pytest.mark.parametrize("cls,fields,text", CASES, ids=IDS)
+def test_bad_binding_is_type_error(cls, fields, text):
+    values = tuple(fields.values())
+    first = next(iter(fields))
+    rest = {name: value for name, value in fields.items() if name != first}
+    last = tuple(fields)[-1]
+    with pytest.raises(TypeError, match=f"missing field {last!r}"):
+        cls(*values[:-1])
+    with pytest.raises(TypeError, match=f"missing field {first!r}"):
+        cls(**rest)
+    with pytest.raises(TypeError, match="unexpected field 'extra'"):
+        cls(*values, extra=1)
+    with pytest.raises(TypeError, match=f"got field {first!r} twice"):
+        cls(*values, **{first: values[0]})
+    with pytest.raises(TypeError, match=f"takes {len(values)} fields but {len(values) + 1}"):
+        cls(*values, values[0])
+
+
 @pytest.mark.parametrize("cls,fields,text", CASES, ids=IDS)
 def test_instances_have_only_their_fields(cls, fields, text):
     value = cls(**fields)
