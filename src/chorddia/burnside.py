@@ -3,7 +3,10 @@
 By Burnside's lemma the number of orbits is the average, over the group,
 of the number of matchings each element fixes. That number depends only
 on the element's cycle type (closed_forms.fixed_matching_count), so the
-average is a sum over cycle-type classes of the acting group.
+average is a sum over cycle-type classes of the acting group. The split
+into classes (_class_sizes) keys each element by the sorted lengths of
+its cycles that move points, which fixes the cycle type since every other
+point is fixed, and builds one CycleType per class, not per element.
 
 The wreath class sum is a second, independent derivation of the same
 count. A perfect matching of [0, 2n) can be written as an n x 2 matrix of
@@ -159,16 +162,48 @@ def wreath_cycle_type_distribution(n: int) -> WreathTypeDistribution:
 
 
 def _class_sizes(n: int, group: PermGroup, context: str) -> dict[CycleType, int]:
-    """Number of elements of the acting group with each cycle type."""
+    """Number of elements of the acting group with each cycle type.
+
+    Each element is keyed by the sorted lengths of its cycles that move
+    points, from one walk that builds no value object and does not walk
+    fixed points. The key fixes the cycle type, the other size - sum(key)
+    points being fixed, so one dict lookup per element counts the classes,
+    and cycle_type_of types one element of each; it is read through this
+    module, so a tracer sees one call per class. Classes come in the order
+    of their first element.
+    """
     if n < 1:
         raise DomainError(f"{context} requires n >= 1")
     if group.size != 2 * n:
         raise DomainError(f"group acts on {group.size} points, expected {2 * n}")
-    sizes: dict[CycleType, int] = {}
+    size = group.size
+    points = range(size)
+    classes: dict[tuple[int, ...], list] = {}  # key -> [count, an element]
     for g in group.elements:
-        ct = cycle_type_of(g)
-        sizes[ct] = sizes.get(ct, 0) + 1
-    return sizes
+        images = g.images
+        seen = [False] * size
+        lengths = []
+        for start in points:
+            # seen first, so the fixed-point test runs once per cycle
+            if seen[start]:
+                continue
+            v = images[start]
+            if v == start:
+                continue
+            length = 1
+            while v != start:
+                seen[v] = True
+                v = images[v]
+                length += 1
+            lengths.append(length)
+        lengths.sort()
+        key = tuple(lengths)
+        entry = classes.get(key)
+        if entry is None:
+            classes[key] = [1, g]
+        else:
+            entry[0] += 1
+    return {cycle_type_of(g): count for count, g in classes.values()}
 
 
 def burnside_count(n: int, group: PermGroup) -> int:

@@ -314,9 +314,9 @@ def _cmd_strict(args) -> int:
 
 # the wreath mass line walks every pair-permutation type and split choice
 # for each n <= --n-max (589,128 terms at n = 30), about 1.35 times more
-# per step of n, and the transfer count line adds about 1.1 s at 35 (0.03 s
-# at 16): `verify --n-max 35` takes about 10 s on a 2-vCPU machine
-# (--n-max 30 about 2.7 s)
+# per step of n, and the transfer count line, one scan for every n, adds
+# about 0.13 s at 35: `verify --n-max 35` takes about 7 s on a 2-vCPU
+# machine (--n-max 30 about 2.7 s)
 MAX_VERIFY_N = 35
 
 
@@ -341,6 +341,8 @@ def _verify_checks(n_max: int, oracle_max: int, threads: int) -> list[tuple]:
     # count, the crossing histogram and the strict count
     census = {n: oracle._dihedral_census(n, threads) for n in range(1, census_max + 1)}
     strict = classic.strict_sequences(n_max).strict
+    # one scan of 2 * n_max points gives the transfer row of every n
+    transfer = classic._crossing_transfers(n_max)
 
     def formula_vs_burnside(kind: str, n: int) -> str | None:
         got, expected = counts[kind, n], _standard_formula(kind)(n)
@@ -393,7 +395,7 @@ def _verify_checks(n_max: int, oracle_max: int, threads: int) -> list[tuple]:
         return None
 
     def crossings_vs_transfer(n: int) -> str | None:
-        if classic.crossing_polynomial(n).coefficients != classic._crossing_transfer(n):
+        if classic.crossing_polynomial(n).coefficients != transfer[n - 1]:
             return f"n={n}"
         return None
 

@@ -32,7 +32,7 @@ class ChordDiagram(Record):
                 raise DomainError("partner array is not a fixed-point-free involution")
 
     def __hash__(self):
-        # Record's hash, one call shorter (see CycleType.__hash__)
+        # Record's hash without its generic field walk
         return hash((self.partner,))
 
     @classmethod

@@ -7,7 +7,6 @@ displayed form is 1-based.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from operator import itemgetter, methodcaller
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -42,11 +41,6 @@ class CycleType(Record):
             raise DomainError("cycle type parts must be sorted by length")
         if len({length for length, _ in parts}) != len(parts):
             raise DomainError("duplicate length in cycle type")
-
-    def __hash__(self):
-        # Record's hash without its generic field walk: a class split
-        # hashes one CycleType per group element
-        return hash((self.parts,))
 
     @classmethod
     def from_counts(cls, counts: Mapping[int, int]) -> "CycleType":
@@ -85,7 +79,7 @@ class GroupElement(Record):
             raise DomainError("images must be a bijection on [0, size)")
 
     def __hash__(self):
-        # Record's hash, one call shorter (see CycleType.__hash__)
+        # Record's hash without its generic field walk
         return hash((self.images,))
 
     @classmethod
@@ -228,14 +222,6 @@ def cycle_type_of(g: GroupElement) -> CycleType:
             v = images[v]
             length += 1
         lengths.append(length)
-    lengths.sort()
-    return _cycle_type_of_lengths(tuple(lengths))
-
-
-@lru_cache(maxsize=4096)
-def _cycle_type_of_lengths(lengths: tuple[int, ...]) -> CycleType:
-    """One validated CycleType per sorted length tuple; a group has few
-    distinct types, so the cache spares validating one per element."""
     return CycleType.from_lengths(lengths)
 
 

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from functools import lru_cache
 from itertools import combinations, permutations, product
 from unittest.mock import patch
@@ -27,7 +28,8 @@ from chorddia import (
     wreath_cycle_type_distribution,
     wreath_uniform_count,
 )
-from chorddia.burnside import _wreath_class_sum
+from chorddia import burnside
+from chorddia.burnside import _class_sizes, _wreath_class_sum
 
 STANDARD_FORMULAS = {
     "identity": diagram_count,
@@ -251,3 +253,74 @@ def test_three_derivations_agree_on_random_groups(group):
 def test_class_sum_matches_whole_table_sum(group):
     n = group.size // 2
     assert _wreath_class_sum(n, group) == reference_class_sum(n, group)
+
+
+@st.composite
+def sparse_groups(draw, max_points=20, max_moved=6):
+    """A group generated by up to three random permutations of one random
+    set of at most max_moved of the points, so that most elements fix most
+    points."""
+    points = draw(st.sampled_from(range(2, max_points + 1, 2)))
+    moved = draw(st.lists(st.sampled_from(range(points)), unique=True, max_size=max_moved))
+    generators = []
+    for perm in draw(st.lists(st.permutations(moved), max_size=3)):
+        images = list(range(points))
+        for v, w in zip(moved, perm):
+            images[v] = w
+        generators.append(GroupElement.from_images(images))
+    return generate_group(generators, points)
+
+
+def assert_split_by_element(group):
+    """_class_sizes agrees with typing every element by cycle_type_of, in
+    the order of each class's first element."""
+    sizes = _class_sizes(group.size // 2, group, "test")
+    expected = Counter(cycle_type_of(g) for g in group)
+    assert sizes == expected
+    assert list(sizes) == list(expected)
+
+
+class TestClassSizes:
+    @settings(max_examples=60, deadline=None)
+    @given(small_groups(max_points=10))
+    def test_random_groups(self, group):
+        assert_split_by_element(group)
+
+    @settings(max_examples=60, deadline=None)
+    @given(sparse_groups())
+    def test_groups_that_fix_most_points(self, group):
+        assert_split_by_element(group)
+
+    @pytest.mark.parametrize("points", [2, 8, 300])
+    def test_identity_group(self, points):
+        group = make_standard_group("identity", points)
+        assert_split_by_element(group)
+        assert _class_sizes(points // 2, group, "test") == {CycleType(((1, points),)): 1}
+
+    @settings(max_examples=6, deadline=None)
+    @given(st.sampled_from(["cyclic", "dihedral"]), st.integers(129, 160))
+    def test_standard_groups_past_256_points(self, kind, n):
+        # past 256 points the closure keeps tuple images, not bytes
+        assert_split_by_element(make_standard_group(kind, 2 * n))
+
+    @pytest.mark.parametrize(
+        "group, classes",
+        [
+            (make_standard_group("dihedral", 12), 7),
+            # S_6 on 6 of 8 points: one class per partition of 6
+            (generate_group([GroupElement.from_images([1, 0, 2, 3, 4, 5, 6, 7]),
+                             GroupElement.from_images([1, 2, 3, 4, 5, 0, 6, 7])], 8), 11),
+        ],
+    )
+    def test_types_one_element_per_class(self, monkeypatch, group, classes):
+        typed = []
+
+        def counted(g):
+            typed.append(g)
+            return cycle_type_of(g)
+
+        monkeypatch.setattr(burnside, "cycle_type_of", counted)
+        sizes = _class_sizes(group.size // 2, group, "test")
+        assert len(typed) == len(sizes) == classes
+        assert sum(sizes.values()) == group.order
+        assert [cycle_type_of(g) for g in typed] == list(sizes)

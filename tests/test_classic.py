@@ -14,7 +14,11 @@ from chorddia import (
     strict_sequences,
 )
 from chorddia import classic
-from chorddia.classic import _crossing_transfer, _strict_inclusion_exclusion
+from chorddia.classic import (
+    _crossing_transfer,
+    _crossing_transfers,
+    _strict_inclusion_exclusion,
+)
 
 
 def brute_crossing_histogram(n):
@@ -92,6 +96,13 @@ class TestCrossingTransfer:
     def test_rejects_nonpositive(self):
         with pytest.raises(DomainError):
             _crossing_transfer(0)
+
+    def test_one_scan_gives_every_row(self):
+        # verify reads every n <= --n-max from one scan of 2 * n_max points
+        rows = _crossing_transfers(40)
+        assert len(rows) == 40
+        for n, row in enumerate(rows, 1):
+            assert row == crossing_polynomial(n).coefficients
 
 
 class TestStrictSequences:

@@ -760,7 +760,7 @@ class TestVerify:
     def test_transfer_count_mismatch_fails(self, capsys, monkeypatch):
         from chorddia import classic
 
-        monkeypatch.setattr(classic, "_crossing_transfer", lambda n: (0,))
+        monkeypatch.setattr(classic, "_crossing_transfers", lambda n_max: [(0,)] * n_max)
         assert run(["verify", "--n-max", "2", "--oracle-max", "2"]) == 1
         captured = capsys.readouterr()
         assert "FAIL crossing polynomial == transfer count (n <= 2): n=1" in captured.err
