@@ -4,9 +4,10 @@ By Burnside's lemma the number of orbits is the average, over the group,
 of the number of matchings each element fixes. That number depends only
 on the element's cycle type (closed_forms.fixed_matching_count), so the
 average is a sum over cycle-type classes of the acting group. The split
-into classes (_class_sizes) keys each element by the sorted lengths of
-its cycles that move points, which fixes the cycle type since every other
-point is fixed, and builds one CycleType per class, not per element.
+into classes (_class_sizes) types each element with one walk of its
+cycles that move points: their sorted lengths fix the cycle type, since
+every other point is fixed, and a cache keyed by them returns one
+CycleType per type.
 
 The wreath class sum is a second, independent derivation of the same
 count. A perfect matching of [0, 2n) can be written as an n x 2 matrix of
@@ -23,7 +24,9 @@ built. Only verification uses it.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from itertools import product
+from operator import attrgetter
 from typing import Iterator, Mapping
 
 from .closed_forms import fixed_matching_count
@@ -162,48 +165,20 @@ def wreath_cycle_type_distribution(n: int) -> WreathTypeDistribution:
 
 
 def _class_sizes(n: int, group: PermGroup, context: str) -> dict[CycleType, int]:
-    """Number of elements of the acting group with each cycle type.
+    """Number of elements of the acting group with each cycle type, in the
+    order of each class's first element.
 
-    Each element is keyed by the sorted lengths of its cycles that move
-    points, from one walk that builds no value object and does not walk
-    fixed points. The key fixes the cycle type, the other size - sum(key)
-    points being fixed, so one dict lookup per element counts the classes,
-    and cycle_type_of types one element of each; it is read through this
-    module, so a tracer sees one call per class. Classes come in the order
-    of their first element.
+    cycle_type_of is read through this module and called once per element,
+    so a tracer that wraps it counts and times the split. It returns one
+    cached CycleType per type; the elements are counted by its parts, a
+    tuple that hashes in C, and each class gets one CycleType at the end.
     """
     if n < 1:
         raise DomainError(f"{context} requires n >= 1")
     if group.size != 2 * n:
         raise DomainError(f"group acts on {group.size} points, expected {2 * n}")
-    size = group.size
-    points = range(size)
-    classes: dict[tuple[int, ...], list] = {}  # key -> [count, an element]
-    for g in group.elements:
-        images = g.images
-        seen = [False] * size
-        lengths = []
-        for start in points:
-            # seen first, so the fixed-point test runs once per cycle
-            if seen[start]:
-                continue
-            v = images[start]
-            if v == start:
-                continue
-            length = 1
-            while v != start:
-                seen[v] = True
-                v = images[v]
-                length += 1
-            lengths.append(length)
-        lengths.sort()
-        key = tuple(lengths)
-        entry = classes.get(key)
-        if entry is None:
-            classes[key] = [1, g]
-        else:
-            entry[0] += 1
-    return {cycle_type_of(g): count for count, g in classes.values()}
+    sizes = Counter(map(attrgetter("parts"), map(cycle_type_of, group.elements)))
+    return {CycleType(parts): count for parts, count in sizes.items()}
 
 
 def burnside_count(n: int, group: PermGroup) -> int:

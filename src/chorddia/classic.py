@@ -93,22 +93,13 @@ def crossing_polynomial(n: int) -> CrossingPolynomial:
     return CrossingPolynomial(n=n, coefficients=tuple(coeffs))
 
 
-def _crossing_transfer(n: int) -> tuple[int, ...]:
-    """Distribution of diagrams of order n by crossing number, by a
-    transfer count that uses no closed form: the last row of
-    _crossing_transfers(n)."""
-    if n < 1:
-        raise DomainError("_crossing_transfer requires n >= 1")
-    return _crossing_transfers(n)[-1]
-
-
 def _crossing_transfers(n_max: int) -> list[tuple[int, ...]]:
     """The crossing distribution of every order 1..n_max (row n-1 for order
-    n), from one transfer scan of 2*n_max points in order: each point opens
-    a chord or closes one of the k open chords. Closing the j-th newest
-    crosses exactly the j-1 newer open chords (each began inside it and ends
-    outside), so closing one of k open chords multiplies by
-    1 + x + ... + x^(k-1).
+    n), by a transfer count that uses no closed form. One scan takes the
+    2*n_max points in order; each point opens a chord or closes one of the
+    k open chords. Closing the j-th newest crosses exactly the j-1 newer
+    open chords (each began inside it and ends outside), so closing one of
+    k open chords multiplies by 1 + x + ... + x^(k-1).
 
     ways[k][c] is the number of ways to reach the current point with k
     chords open and c crossings so far, so after the first 2n points
@@ -116,6 +107,8 @@ def _crossing_transfers(n_max: int) -> list[tuple[int, ...]]:
     points left could close by the end of the scan is dropped; it could
     not close by any earlier row's end either.
     """
+    if n_max < 1:
+        raise DomainError("_crossing_transfers requires n_max >= 1")
     size = 2 * n_max
     ways = [[1]]
     rows = []

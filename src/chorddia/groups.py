@@ -7,6 +7,7 @@ displayed form is 1-based.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from operator import itemgetter, methodcaller
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -87,7 +88,7 @@ class GroupElement(Record):
         """An element on images that are a bijection by construction (the
         closure composes only bijections), without checking it again."""
         g = object.__new__(cls)
-        object.__setattr__(g, "images", images)
+        _set_images(g, images)
         return g
 
     @classmethod
@@ -135,6 +136,11 @@ class GroupElement(Record):
 
     def is_identity(self) -> bool:
         return all(w == v for v, w in enumerate(self.images))
+
+
+# the images slot's own setter: a closure wraps every element it finds, and
+# this skips object.__setattr__'s attribute lookup
+_set_images = GroupElement.images.__set__
 
 
 class PermGroup(Record):
@@ -209,12 +215,22 @@ def partitions(n: int) -> Iterator[CycleType]:
 
 
 def cycle_type_of(g: GroupElement) -> CycleType:
-    """Multiset of cycle lengths of g."""
+    """Multiset of cycle lengths of g.
+
+    One walk of the cycles that move points gives their sorted lengths; the
+    other points are fixed, so those lengths and the number of points fix
+    the type, and a cache keyed by them returns one CycleType per type.
+    """
     images = g.images
-    seen = [False] * len(images)
+    size = len(images)
+    seen = [False] * size
     lengths = []
-    for start, v in enumerate(images):
+    for start in range(size):
+        # seen first, so the fixed-point test runs once per cycle
         if seen[start]:
+            continue
+        v = images[start]
+        if v == start:
             continue
         length = 1
         while v != start:
@@ -222,7 +238,16 @@ def cycle_type_of(g: GroupElement) -> CycleType:
             v = images[v]
             length += 1
         lengths.append(length)
-    return CycleType.from_lengths(lengths)
+    lengths.sort()
+    return _cycle_type_of_moved(size, tuple(lengths))
+
+
+@lru_cache(maxsize=4096)
+def _cycle_type_of_moved(size: int, moved: tuple[int, ...]) -> CycleType:
+    """The CycleType of a permutation of size points whose cycles that move
+    points have the sorted lengths moved; a group has few distinct types,
+    so the cache spares building and validating one per element."""
+    return CycleType.from_lengths(moved + (1,) * (size - sum(moved)))
 
 
 def make_standard_group(kind: str, points: int) -> PermGroup:

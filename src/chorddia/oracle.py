@@ -55,10 +55,10 @@ orbits' hook to the walker as it is.
 
 The census (_dihedral_census) is one walk of the D_2n orbit minima whose
 step carries the crossing count and whether every chord so far is strict,
-packed in one int (2 * crossings + strict), which gives the orbit count,
-the orbit-size histogram, the crossing histogram and the strict count
-together. crossing_distribution returns its crossing histogram,
-strict_count its strict count, and verify reads all four for each n <= 7.
+which gives the orbit count, the orbit-size histogram, the crossing
+histogram and the strict count together. crossing_distribution returns
+its crossing histogram, strict_count its strict count, and verify reads
+all four for each n <= 7.
 
 The walk is split into the 2n-1 independent branches fixed by the partner
 of point 0. Each branch returns its Counter of keys and the Counters add
@@ -337,14 +337,14 @@ def representatives(n: int, group: PermGroup) -> list[ChordDiagram]:
     return [ChordDiagram._unchecked(p) for p in _orbit_walk(group, None, _partner_tuple)]
 
 
-def _census_step(partner, v, w, state: int) -> int:
-    """2 * crossings so far + 1 while no chord so far joins circle-adjacent
-    points: one int, so that the step builds no tuple per placed chord."""
+def _census_step(partner, v, w, state: tuple[int, bool]) -> tuple[int, bool]:
+    """Crossings so far, and whether no chord so far joins circle-adjacent
+    points."""
+    crossings, strict = state
     # every matched point strictly inside (v, w) has its partner below v
     inside = partner[v + 1:w]
-    if w == v + 1 or (v == 0 and w == len(partner) - 1):
-        state &= -2
-    return state + 2 * (len(inside) - inside.count(-1))
+    adjacent = w == v + 1 or (v == 0 and w == len(partner) - 1)
+    return crossings + len(inside) - inside.count(-1), strict and not adjacent
 
 
 def _dihedral_census(
@@ -355,14 +355,13 @@ def _dihedral_census(
     _check_n(n)
     threads = _resolve_threads(threads)
     group = make_standard_group("dihedral", 2 * n)
-    leaves = _orbit_walk(group, _census_step, _stabilizer_size_and_state, 1, threads)
+    leaves = _orbit_walk(group, _census_step, _stabilizer_size_and_state, (0, True), threads)
     by_stabilizer: Counter = Counter()
     coeffs = [0] * (n * (n - 1) // 2 + 1)
     strict = 0
-    for (k, state), count in leaves.items():
+    for (k, (crossings, is_strict)), count in leaves.items():
         by_stabilizer[k] += count
         diagrams = count * (group.order // (1 + k))
-        crossings, is_strict = divmod(state, 2)
         coeffs[crossings] += diagrams
         if is_strict:
             strict += diagrams

@@ -271,11 +271,26 @@ def sparse_groups(draw, max_points=20, max_moved=6):
     return generate_group(generators, points)
 
 
+def reference_cycle_type(g):
+    """The cycle type from following every point's cycle, fixed points
+    included, with no cache."""
+    seen = set()
+    lengths = []
+    for start in range(g.size):
+        if start not in seen:
+            cycle = [start]
+            while g(cycle[-1]) != start:
+                cycle.append(g(cycle[-1]))
+            seen.update(cycle)
+            lengths.append(len(cycle))
+    return CycleType.from_lengths(lengths)
+
+
 def assert_split_by_element(group):
-    """_class_sizes agrees with typing every element by cycle_type_of, in
+    """_class_sizes agrees with typing every element by a plain walk, in
     the order of each class's first element."""
     sizes = _class_sizes(group.size // 2, group, "test")
-    expected = Counter(cycle_type_of(g) for g in group)
+    expected = Counter(reference_cycle_type(g) for g in group)
     assert sizes == expected
     assert list(sizes) == list(expected)
 
@@ -312,7 +327,9 @@ class TestClassSizes:
                              GroupElement.from_images([1, 2, 3, 4, 5, 0, 6, 7])], 8), 11),
         ],
     )
-    def test_types_one_element_per_class(self, monkeypatch, group, classes):
+    def test_types_each_element_once(self, monkeypatch, group, classes):
+        # the benchmark's tracer wraps burnside.cycle_type_of and counts
+        # one call per element of the split
         typed = []
 
         def counted(g):
@@ -321,6 +338,6 @@ class TestClassSizes:
 
         monkeypatch.setattr(burnside, "cycle_type_of", counted)
         sizes = _class_sizes(group.size // 2, group, "test")
-        assert len(typed) == len(sizes) == classes
+        assert typed == list(group.elements)
+        assert len(sizes) == classes
         assert sum(sizes.values()) == group.order
-        assert [cycle_type_of(g) for g in typed] == list(sizes)

@@ -189,7 +189,7 @@ class TestDihedralCensus:
     def test_equals_the_three_walks(self, n, threads):
         from chorddia.classic import (
             CrossingPolynomial,
-            _crossing_transfer,
+            _crossing_transfers,
             _strict_inclusion_exclusion,
         )
         from chorddia.oracle import _dihedral_census
@@ -200,7 +200,7 @@ class TestDihedralCensus:
         # count against inclusion-exclusion, neither of which walks a matching
         assert _dihedral_census(n, threads) == (
             orbit_count(n, group, threads=threads),
-            CrossingPolynomial(n, _crossing_transfer(n)),
+            CrossingPolynomial(n, _crossing_transfers(n)[-1]),
             _strict_inclusion_exclusion(n),
         )
 
