@@ -137,6 +137,19 @@ def _resolve_group(args, n: int) -> PermGroup:
     return make_standard_group(args.group, 2 * n)
 
 
+def _write_csv(header: tuple[str, ...], rows) -> None:
+    """The header line, then one comma-joined line per row."""
+    lines = [",".join(header), *(",".join(map(str, row)) for row in rows)]
+    sys.stdout.write("\n".join(lines) + "\n")
+
+
+def _write_json(payload) -> None:
+    import json  # a few ms of start-up, so only where JSON is written
+
+    json.dump(payload, sys.stdout, indent=2)
+    sys.stdout.write("\n")
+
+
 # ---------------------------------------------------------------- count
 
 # the closed forms' big products and their decimal output grow as about n^2:
@@ -188,70 +201,71 @@ def _cmd_count(args) -> int:
 MAX_TABLE_N = 2000
 
 
-def _table_records(first: int, last: int) -> list[dict]:
-    from . import closed_forms
-
-    records = []
-    for n in range(first, last + 1):
-        records.append(
-            {
-                "n": n,
-                "c_n": closed_forms.cyclic_count(n),
-                "floor_c_lower": closed_forms.asymptotic_lower_bound("cyclic", n).exact_floor,
-                "d_n": closed_forms.dihedral_count(n),
-                "floor_d_lower": closed_forms.asymptotic_lower_bound("dihedral", n).exact_floor,
-            }
-        )
-    return records
-
-
 def _cmd_table(args) -> int:
+    from .closed_forms import asymptotic_lower_bound, cyclic_count, dihedral_count
+
     first, last = args.from_n, args.to_n
     if first < 1 or last < first:
         raise DomainError("table needs 1 <= from <= to")
     if last > MAX_TABLE_N:
         raise ResourceLimitError(f"table capped at --to <= {MAX_TABLE_N}, got {last}")
-    records = _table_records(first, last)
+    columns = ("n", "c_n", "floor_c_lower", "d_n", "floor_d_lower")
+    rows = [
+        (
+            n,
+            cyclic_count(n),
+            asymptotic_lower_bound("cyclic", n).exact_floor,
+            dihedral_count(n),
+            asymptotic_lower_bound("dihedral", n).exact_floor,
+        )
+        for n in range(first, last + 1)
+    ]
     if args.format == "csv":
-        out = ["n,c_n,floor_c_lower,d_n,floor_d_lower"]
-        for r in records:
-            out.append(
-                f"{r['n']},{r['c_n']},{r['floor_c_lower']},{r['d_n']},{r['floor_d_lower']}"
-            )
-        sys.stdout.write("\n".join(out) + "\n")
+        _write_csv(columns, rows)
     else:
-        import json
-
-        payload = [
-            {
-                "n": r["n"],
-                "c_n": str(r["c_n"]),
-                "floor_c_lower": str(r["floor_c_lower"]),
-                "d_n": str(r["d_n"]),
-                "floor_d_lower": str(r["floor_d_lower"]),
-            }
-            for r in records
-        ]
-        json.dump(payload, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        # counts as strings: many JSON readers parse numbers as doubles
+        _write_json([dict(zip(columns, (n, *map(str, counts)))) for n, *counts in rows])
     return 0
 
 
 # ---------------------------------------------------------------- enumerate
+
+# The listing is held whole before its first line is written, at about
+# 300 bytes per class. On a 2-vCPU machine the longest listing under the
+# default oracle cap, `enumerate --n 8 --group identity` (2,027,025
+# classes), takes 15-23 s and peaks at 559 MB RSS; the longest under the
+# hard cap, `--n 9 --group cyclic` (1,915,951), 17 s and 575 MB.
+MAX_ENUMERATE_CLASSES = 2027025
+
 
 def _cmd_enumerate(args) -> int:
     from . import oracle
 
     n = _require_order(args.n)
     oracle._check_n(n)  # refused before the group is built or closed
-    reps = oracle.representatives(n, _resolve_group(args, n))
+    if args.format == "svg-dir" and not args.out:
+        raise DomainError("--format svg-dir requires --out DIR")
+    # a standard group is counted by its closed form before it is built; a
+    # group file is counted once it is read and closed
+    if args.group_file:
+        from .burnside import burnside_count
+
+        group = _resolve_group(args, n)
+        classes = burnside_count(n, group)
+    else:
+        classes = _standard_formula(args.group)(n)
+    if classes > MAX_ENUMERATE_CLASSES:
+        raise ResourceLimitError(
+            f"enumerate capped at {MAX_ENUMERATE_CLASSES} classes, got {classes}"
+        )
+    if not args.group_file:
+        group = _resolve_group(args, n)
+    reps = oracle.representatives(n, group)
     if args.format == "jsonl":
         from .diagrams import _json_line
 
         sys.stdout.writelines(_json_line(d.partner) for d in reps)
         return 0
-    if not args.out:
-        raise DomainError("--format svg-dir requires --out DIR")
     from .svg import render_svg
 
     out_dir = Path(args.out)
@@ -281,18 +295,9 @@ def _cmd_crossings(args) -> int:
 
         poly = oracle.crossing_distribution(n, threads=args.threads)
     if args.format == "csv":
-        out = ["crossings,count"]
-        out += [f"{j},{c}" for j, c in enumerate(poly.coefficients)]
-        sys.stdout.write("\n".join(out) + "\n")
+        _write_csv(("crossings", "count"), enumerate(poly.coefficients))
     else:
-        import json
-
-        json.dump(
-            {"n": n, "coefficients": [str(c) for c in poly.coefficients]},
-            sys.stdout,
-            indent=2,
-        )
-        sys.stdout.write("\n")
+        _write_json({"n": n, "coefficients": [str(c) for c in poly.coefficients]})
     return 0
 
 
@@ -303,10 +308,8 @@ def _cmd_strict(args) -> int:
 
     n_max = _require_order(args.n_max)
     seqs = classic.strict_sequences(n_max)
-    out = ["n,strict,cumulative"]
-    for k in range(n_max):
-        out.append(f"{k + 1},{seqs.strict[k]},{seqs.cumulative[k]}")
-    sys.stdout.write("\n".join(out) + "\n")
+    _write_csv(("n", "strict", "cumulative"),
+               zip(range(1, n_max + 1), seqs.strict, seqs.cumulative))
     return 0
 
 

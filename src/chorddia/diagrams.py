@@ -31,10 +31,6 @@ class ChordDiagram(Record):
             if not 0 <= w < n2 or w == v or partner[w] != v:
                 raise DomainError("partner array is not a fixed-point-free involution")
 
-    def __hash__(self):
-        # Record's hash without its generic field walk
-        return hash((self.partner,))
-
     @classmethod
     def _unchecked(cls, partner: tuple[int, ...]) -> "ChordDiagram":
         """A diagram on a partner array that is a matching by construction

@@ -79,10 +79,6 @@ class GroupElement(Record):
         if sorted(images) != list(range(len(images))):
             raise DomainError("images must be a bijection on [0, size)")
 
-    def __hash__(self):
-        # Record's hash without its generic field walk
-        return hash((self.images,))
-
     @classmethod
     def _unchecked(cls, images: tuple[int, ...]) -> "GroupElement":
         """An element on images that are a bijection by construction (the

@@ -444,6 +444,71 @@ class TestEnumerate:
         assert run(["enumerate", "--n", "3", "--format", "svg-dir"]) == 2
         capsys.readouterr()
 
+    def test_svg_dir_requires_out_before_the_walk(self, capsys, monkeypatch):
+        from chorddia import oracle
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("walked or built before --out was checked")
+
+        monkeypatch.setattr(oracle, "representatives", refuse)
+        monkeypatch.setattr(cli, "_resolve_group", refuse)
+        assert run(["enumerate", "--n", "8", "--format", "svg-dir"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: --format svg-dir requires --out DIR" in captured.err
+        # the order and cap checks still come first
+        assert run(["enumerate", "--n", "0", "--format", "svg-dir"]) == 2
+        assert "error: n must be >= 1" in capsys.readouterr().err
+        assert run(["enumerate", "--n", "9", "--format", "svg-dir"]) == 3
+        assert "oracle capped at n <= 8" in capsys.readouterr().err
+
+    def test_class_bound(self, tmp_path, capsys, monkeypatch):
+        from chorddia import oracle
+
+        # the half-turn of 6 points: 11 classes at n = 3
+        path = tmp_path / "half.json"
+        path.write_text(json.dumps({"points": 6, "elements": [[4, 5, 6, 1, 2, 3]]}))
+        monkeypatch.setattr(cli, "MAX_ENUMERATE_CLASSES", 11)
+        assert run(["enumerate", "--n", "3", "--group-file", str(path)]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 11
+        assert run(["enumerate", "--n", "5", "--group", "cyclic"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "enumerate capped at 11 classes, got 105" in captured.err
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("walked or built past the class bound")
+
+        monkeypatch.setattr(oracle, "representatives", refuse)
+        monkeypatch.setattr(cli, "MAX_ENUMERATE_CLASSES", 10)
+        assert run(["enumerate", "--n", "3", "--group-file", str(path)]) == 3
+        assert "enumerate capped at 10 classes, got 11" in capsys.readouterr().err
+        monkeypatch.setattr(cli, "_resolve_group", refuse)
+        for kind, classes in (("identity", 15), ("cyclic", 5), ("dihedral", 5)):
+            monkeypatch.setattr(cli, "MAX_ENUMERATE_CLASSES", classes - 1)
+            argv = ["enumerate", "--n", "3", "--group", kind, "--format", "svg-dir"]
+            assert run([*argv, "--out", str(tmp_path / kind)]) == 3
+            assert f"capped at {classes - 1} classes, got {classes}" in capsys.readouterr().err
+            assert not (tmp_path / kind).exists()
+
+    @pytest.mark.parametrize("source", ["identity", "file"])
+    def test_huge_listing_exits_before_the_walk(self, tmp_path, monkeypatch, source):
+        # 34,459,425 classes at n = 9, about 9 GB if held whole
+        monkeypatch.setenv("CHORDDIA_ORACLE_CAP", "9")
+        if source == "identity":
+            argv = ["--group", "identity"]
+        else:
+            path = tmp_path / "identity.json"
+            path.write_text(json.dumps({"points": 18, "elements": []}))
+            argv = ["--group-file", str(path)]
+        proc = run_module(
+            "enumerate", "--n", "9", *argv, address_space=600 * 2**20, timeout=30
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert "enumerate capped at 2027025 classes, got 34459425" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     @staticmethod
     def expected_jsonl(n, group):
         # the serialized form as it was before the lines were written
