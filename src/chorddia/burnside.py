@@ -2,8 +2,9 @@
 
 By Burnside's lemma the number of orbits is the average, over the group,
 of the number of matchings each element fixes. That number depends only
-on the element's cycle type (closed_forms.fixed_matching_count), so the
-average is a sum over cycle-type classes of the acting group. The split
+on the element's cycle type, so the average is a sum over the cycle-type
+classes of the acting group: closed_forms._class_sum, the same class sum
+that evaluates the closed forms, computes it. The split
 into classes (_class_sizes) types each element with one walk of its
 cycles that move points: their sorted lengths fix the cycle type, since
 every other point is fixed, and a cache keyed by them returns one
@@ -29,7 +30,7 @@ from itertools import product
 from operator import attrgetter
 from typing import Iterator, Mapping
 
-from .closed_forms import fixed_matching_count
+from .closed_forms import _class_sum
 from .errors import DomainError, Record, exact_div
 from .groups import CycleType, PermGroup, cycle_type_of
 
@@ -186,13 +187,12 @@ def burnside_count(n: int, group: PermGroup) -> int:
     cycle-type classes of class size times fixed matchings, divided by
     the group order."""
     sizes = _class_sizes(n, group, "burnside_count")
-    total = sum(size * fixed_matching_count(ct) for ct, size in sizes.items())
-    return exact_div(total, group.order, "burnside_count")
+    return _class_sum(sizes.items(), group.order, "burnside_count")
 
 
 def _wreath_class_sum(n: int, group: PermGroup) -> int:
-    """The orbit count of burnside_count, derived without
-    fixed_matching_count.
+    """The orbit count of burnside_count, derived without the fixed counts
+    of closed_forms._class_sum.
 
     Averages, over both groups, the number of matrix/point relabelling
     pairs that map a matching to itself; a pair contributes only when the

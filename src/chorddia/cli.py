@@ -152,19 +152,15 @@ def _write_json(payload) -> None:
 
 # ---------------------------------------------------------------- count
 
-# the closed forms' big products and their decimal output grow as about n^2:
-# `count --group dihedral --n 70000`, the slowest of the three, takes about
-# 10 s on a 2-vCPU machine (cyclic 7 s). The oracle path is bounded by the
-# enumeration cap.
+# the closed forms' big products and their decimal output grow as about n^2,
+# and so do a Burnside count's: it walks each cycle length's multiplicities
+# once for all the group's types, and the closure bound leaves the group at
+# most MAX_CLOSURE_ENTRIES / 2n elements (71 here). At n = 70000 on a 2-vCPU
+# machine the cyclic and dihedral formulas took 4.3 and 4.6 s, and a Burnside
+# count 2.8 s for the identity group, 4.7 s for a half turn and 5.8 s for a
+# file of 6 generators that swap 1, 2, 4, ..., 32 disjoint pairs (64 types).
+# The oracle path is bounded by the enumeration cap.
 MAX_COUNT_N = 70000
-# A Burnside count evaluates one fixed count of up to n log10(2n/e) digits
-# per cycle type of the group, and a group file picks its types: the group
-# may hold up to MAX_CLOSURE_ENTRIES / 2n elements. On a 2-vCPU machine the
-# identity group took 5.0 s at n = 80000 and 22 s at 160000; group files of
-# k generators that swap 1, 2, 4, ... disjoint pairs (2^k cycle types) took
-# 8.4-10.1 s with k = 8 at n = 10000, 4.6 s with k = 9 at n = 5000, and
-# 10.9 s and 40 s with k = 6 at n = 20000 and 40000.
-MAX_BURNSIDE_N = 10000
 
 
 def _cmd_count(args) -> int:
@@ -174,9 +170,8 @@ def _cmd_count(args) -> int:
     if args.group_file and method == "formula":
         raise DomainError("--method formula needs a standard group; use burnside or oracle")
     # refused before any group is built or group file read
-    bound = {"formula": MAX_COUNT_N, "burnside": MAX_BURNSIDE_N}.get(method)
-    if bound is not None and n > bound:
-        raise ResourceLimitError(f"{method} count capped at --n <= {bound}, got {n}")
+    if method != "oracle" and n > MAX_COUNT_N:
+        raise ResourceLimitError(f"{method} count capped at --n <= {MAX_COUNT_N}, got {n}")
     if method == "formula":
         value = _standard_formula(args.group)(n)
     elif method == "burnside":
@@ -318,8 +313,8 @@ def _cmd_strict(args) -> int:
 # the wreath mass line walks every pair-permutation type and split choice
 # for each n <= --n-max (589,128 terms at n = 30), about 1.35 times more
 # per step of n, and the transfer count line, one scan for every n, adds
-# about 0.13 s at 35: `verify --n-max 35` takes about 7 s on a 2-vCPU
-# machine (--n-max 30 about 2.7 s)
+# about 0.13 s at 35: `verify --n-max 35` took 5.4-5.8 s on a 2-vCPU
+# machine, up to 10.6 s when it was busier (--n-max 30 about 1.6 s)
 MAX_VERIFY_N = 35
 
 

@@ -2,8 +2,11 @@
 reflection, with their asymptotic lower bounds.
 
 The number of matchings a permutation fixes depends only on its cycle
-type; fixed_matching_count evaluates it, and the closed forms and the
-Burnside class sum both call it.
+type. _class_sum is the one place that evaluates it: given cycle-type
+classes and their sizes, it walks each cycle length's multiplicities once
+for all the types and divides the Burnside total by the group order.
+cyclic_count, dihedral_count, burnside.burnside_count and
+fixed_matching_count are each one call of it.
 
 All results are exact integers; the intermediate divisions are asserted
 exact (see errors.ConsistencyError).
@@ -12,7 +15,7 @@ exact (see errors.ConsistencyError).
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Collection
 
 from .errors import DomainError, Record, exact_div
 from .groups import CycleType, divisors, euler_phi
@@ -37,8 +40,9 @@ def diagram_count(n: int) -> int:
     return double_factorial(2 * n - 1)
 
 
-def fixed_matching_count(cycle_type: CycleType) -> int:
-    """Number of perfect matchings fixed by a permutation of this cycle type.
+def _class_sum(classes: Collection[tuple[CycleType, int]], order: int, context: str) -> int:
+    """Sum of size * (matchings a permutation of the type fixes) over the
+    (cycle type, size) classes, divided exactly by order.
 
     A fixed matching maps the chords at a cycle of length l onto chords at
     cycles of the same length, so the count is a product over lengths with
@@ -48,20 +52,36 @@ def fixed_matching_count(cycle_type: CycleType) -> int:
     sum_k C(m, 2k) * l^k * (2k-1)!!. That sum is evaluated by the
     recurrence a_m = a_(m-1) + (m-1) * l * a_(m-2), a_0 = a_1 = 1: the
     last cycle is matched to itself, or joined in l ways to one of the
-    other m-1.
+    other m-1. Each length's multiplicities, over all the types, are
+    walked once in ascending order, each factor extending the last.
     """
-    total = 1
-    for length, mult in cycle_type.parts:
-        if length % 2:
-            if mult % 2:
-                return 0
-            total *= length ** (mult // 2) * double_factorial(mult - 1)
+    factors: dict[tuple[int, int], int] = {}
+    walked = 0
+    for length, mult in sorted({part for ct, _ in classes for part in ct.parts}):
+        if length != walked:
+            # at m = 0: a_0 (or (-1)!!) = 1, and a_(-1) never counts
+            walked, m, previous, current = length, 0, 0, 1
+        if length % 2 == 0:
+            for k in range(m + 1, mult + 1):
+                previous, current = current, current + (k - 1) * length * previous
+            m, factors[length, mult] = mult, current
+        elif mult % 2:
+            factors[length, mult] = 0
         else:
-            previous, current = 1, 1
-            for m in range(2, mult + 1):
-                previous, current = current, current + (m - 1) * length * previous
-            total *= current
-    return total
+            current *= math.prod(range(m + 1, mult, 2))
+            m, factors[length, mult] = mult, current * length ** (mult // 2)
+    total = sum(size * math.prod(map(factors.__getitem__, ct.parts)) for ct, size in classes)
+    return exact_div(total, order, context)
+
+
+def fixed_matching_count(cycle_type: CycleType) -> int:
+    """Number of perfect matchings fixed by a permutation of this cycle type."""
+    return _class_sum([(cycle_type, 1)], 1, "fixed_matching_count")
+
+
+def _rotation_classes(n: int) -> list[tuple[CycleType, int]]:
+    """The classes of C_2n: phi(i) rotations of order i, of type i^(2n/i)."""
+    return [(CycleType(((i, 2 * n // i),)), euler_phi(i)) for i in divisors(2 * n)]
 
 
 def rotation_fixed_count(n: int, i: int) -> int:
@@ -78,8 +98,7 @@ def cyclic_count(n: int) -> int:
     """Number of diagrams of order n up to rotation."""
     if n < 1:
         raise DomainError("cyclic_count requires n >= 1")
-    total = sum(euler_phi(i) * rotation_fixed_count(n, i) for i in divisors(2 * n))
-    return exact_div(total, 2 * n, "cyclic_count")
+    return _class_sum(_rotation_classes(n), 2 * n, "cyclic_count")
 
 
 def wreath_uniform_count(n: int, i: int) -> int:
@@ -136,13 +155,8 @@ def dihedral_count(n: int) -> int:
     if n < 1:
         raise DomainError("dihedral_count requires n >= 1")
     # n reflections fix no point (type 2^n), n fix two (type 1^2 2^(n-1))
-    reflection_part = exact_div(
-        fixed_matching_count(CycleType(((2, n),)))
-        + fixed_matching_count(CycleType.from_counts({1: 2, 2: n - 1})),
-        2,
-        "dihedral_count reflection term",
-    )
-    return exact_div(cyclic_count(n) + reflection_part, 2, "dihedral_count")
+    reflections = [(CycleType(((2, n),)), n), (CycleType.from_counts({1: 2, 2: n - 1}), n)]
+    return _class_sum(_rotation_classes(n) + reflections, 4 * n, "dihedral_count")
 
 
 class AsymptoticBound(Record):

@@ -212,13 +212,16 @@ class TestWreathClassSum:
                 assert _wreath_class_sum(n, group) == reference_class_sum(n, group)
 
     def test_never_calls_the_fixed_count(self, monkeypatch):
-        from chorddia import burnside
+        from chorddia import closed_forms
 
-        def refuse(cycle_type):
-            raise AssertionError("the wreath class sum used fixed_matching_count")
+        def refuse(*args):
+            raise AssertionError("the wreath class sum used the fixed counts")
 
-        monkeypatch.setattr(burnside, "fixed_matching_count", refuse)
-        assert _wreath_class_sum(6, make_standard_group("dihedral", 12)) == dihedral_count(6)
+        expected = dihedral_count(6)
+        monkeypatch.setattr(burnside, "_class_sum", refuse)
+        monkeypatch.setattr(closed_forms, "_class_sum", refuse)
+        monkeypatch.setattr(closed_forms, "fixed_matching_count", refuse)
+        assert _wreath_class_sum(6, make_standard_group("dihedral", 12)) == expected
 
     def test_size_mismatch(self):
         with pytest.raises(DomainError):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import resource
@@ -128,8 +129,8 @@ class TestCount:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "formula count capped at --n <= 4, got 5" in captured.err
-        # the other paths have their own bounds
-        assert run(["count", "--group", "dihedral", "--n", "5", "--method", "burnside"]) == 0
+        # the oracle path has its own bound
+        assert run(["count", "--group", "dihedral", "--n", "5", "--method", "oracle"]) == 0
         assert capsys.readouterr().out == "79\n"
 
     def test_burnside_work_bound(self, tmp_path, capsys, monkeypatch):
@@ -137,7 +138,7 @@ class TestCount:
 
         path = tmp_path / "c10.json"
         path.write_text(json.dumps({"points": 10, "elements": [[2, 3, 4, 5, 6, 7, 8, 9, 10, 1]]}))
-        monkeypatch.setattr(cli, "MAX_BURNSIDE_N", 5)
+        monkeypatch.setattr(cli, "MAX_COUNT_N", 5)
         assert run(["count", "--group", "dihedral", "--n", "5", "--method", "burnside"]) == 0
         assert capsys.readouterr().out == "79\n"
         assert run(["count", "--n", "5", "--group-file", str(path)]) == 0
@@ -154,9 +155,9 @@ class TestCount:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert "burnside count capped at --n <= 5, got 6" in captured.err
-        # the formula path keeps its own bound
-        assert run(["count", "--group", "dihedral", "--n", "6"]) == 0
-        assert capsys.readouterr().out == "554\n"
+        # the formula path has the same bound
+        assert run(["count", "--group", "dihedral", "--n", "6"]) == 3
+        assert "formula count capped at --n <= 5, got 6" in capsys.readouterr().err
 
     @pytest.mark.parametrize("source", ["identity", "empty-file"])
     def test_huge_burnside_count_exits_before_any_work(self, tmp_path, source):
@@ -174,8 +175,31 @@ class TestCount:
         )
         assert proc.returncode == 3
         assert proc.stdout == ""
-        assert "burnside count capped at --n <= 10000, got 1000000" in proc.stderr
+        assert "burnside count capped at --n <= 70000, got 1000000" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_burnside_count_at_the_bound(self, tmp_path):
+        # 6 generators that swap 1, 2, 4, ..., 32 disjoint pairs of their own
+        # close to 64 elements, one of each type 1^(2n-2j) 2^j; with one
+        # fixed count per type this took 93 s, with one class sum about 6 s
+        n = cli.MAX_COUNT_N
+        generators, first = [], 0
+        for j in range(6):
+            images = list(range(1, 2 * n + 1))
+            for a in range(first, first + 2 ** (j + 1), 2):
+                images[a], images[a + 1] = a + 2, a + 1
+            first += 2 ** (j + 1)
+            generators.append(images)
+        path = tmp_path / "swaps.json"
+        path.write_text(json.dumps({"points": 2 * n, "elements": generators}))
+        proc = run_module(
+            "count", "--n", str(n), "--group-file", str(path),
+            address_space=600 * 2**20, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        digest = hashlib.sha256(proc.stdout.encode()).hexdigest()
+        # the output of the per-type count, bound lifted
+        assert digest == "7c0e1262543d5624c57b86237cfb6af8ee67cbe16839b047fb1df5129f0e84fc"
 
     def test_huge_formula_count_exits_before_any_work(self):
         proc = run_module(

@@ -1,13 +1,19 @@
 import hashlib
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chorddia import (
+    ConsistencyError,
     CycleType,
     DomainError,
+    GroupElement,
     asymptotic_lower_bound,
+    burnside_count,
     cycle_type_of,
     cyclic_count,
     diagram_count,
@@ -17,12 +23,16 @@ from chorddia import (
     euler_phi,
     fixed_diagram_count,
     fixed_matching_count,
+    generate_group,
     make_standard_group,
     partial_pairing_count,
     reflection_type_wreath_count,
     rotation_fixed_count,
     wreath_uniform_count,
 )
+from chorddia import closed_forms
+from chorddia.burnside import _class_sizes
+from chorddia.closed_forms import _class_sum
 
 
 class TestDoubleFactorial:
@@ -79,6 +89,112 @@ class TestFixedMatchingCount:
         assert digest.hexdigest() == (
             "0765c95136e8841c30efd2d5c05c7f3d96a33e6b900ec4fcd0e97c67eafeb559"
         )
+
+    def test_cyclic_2000_unchanged(self):
+        # digest of c_2000 as computed with one fixed count per divisor
+        value = cyclic_count(2000)
+        assert value.bit_length() == 21035
+        assert value % 10**12 == 233882932732
+        assert sha256_hex(value) == (
+            "b170c7e8138f64bf024145544d5792e9db4773724e570f45684035bd127cad9c"
+        )
+
+    def test_256_type_group_2000_unchanged(self):
+        # digest of the orbit count as computed with one fixed count per type
+        value = burnside_count(2000, swap_group(8, 2000))
+        assert value.bit_length() == 21039
+        assert value % 10**12 == 773925781250
+        assert sha256_hex(value) == (
+            "dc349461266ee768aad02dcd09bb1db6844d69fda6691e78879870aa71b60156"
+        )
+
+
+def sha256_hex(value):
+    return hashlib.sha256(value.to_bytes((value.bit_length() + 7) // 8, "big")).hexdigest()
+
+
+def swap_group(k, n):
+    """The 2^k elements generated on 2n points by k involutions, the j-th
+    swapping 2^j disjoint pairs of its own: one element, of type
+    1^(2n-2j) 2^j, for each j < 2^k."""
+    points = 2 * n
+    generators, first = [], 0
+    for j in range(k):
+        images = list(range(points))
+        for a in range(first, first + 2 ** (j + 1), 2):
+            images[a], images[a + 1] = a + 1, a
+        first += 2 ** (j + 1)
+        generators.append(GroupElement.from_images(images))
+    return generate_group(generators, points)
+
+
+def reference_fixed_count(cycle_type):
+    """The fixed count of one type, factor by factor, without the shared walk."""
+    total = 1
+    for length, mult in cycle_type.parts:
+        if length % 2 == 0:
+            total *= even_factor_sum(length, mult)
+        elif mult % 2:
+            return 0
+        else:
+            total *= length ** (mult // 2) * double_factorial(mult - 1)
+    return total
+
+
+@st.composite
+def class_lists(draw):
+    """Up to 8 classes drawn from up to 5 types over lengths 1..6, so that
+    types share lengths, repeat, and have odd multiplicities of odd lengths."""
+    types = draw(
+        st.lists(
+            st.dictionaries(st.integers(1, 6), st.integers(1, 14), min_size=1, max_size=4),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    picks = draw(st.lists(st.sampled_from(types), min_size=1, max_size=8))
+    return [(CycleType.from_counts(t), draw(st.integers(1, 5))) for t in picks]
+
+
+class TestClassSum:
+    @settings(max_examples=200, deadline=None)
+    @given(class_lists())
+    @example([(CycleType.from_counts({1: 3, 2: 2}), 2), (CycleType.from_counts({1: 4, 2: 5}), 1),
+              (CycleType.from_counts({1: 3, 2: 2}), 3), (CycleType.from_counts({3: 2, 4: 7}), 4)])
+    def test_matches_per_type_reference(self, classes):
+        expected = sum(size * reference_fixed_count(ct) for ct, size in classes)
+        assert _class_sum(classes, 1, "test") == expected
+
+    def test_division_is_exact(self):
+        # 2^1 fixes its one matching, which 2 does not divide
+        with pytest.raises(ConsistencyError):
+            _class_sum([(CycleType(((2, 1),)), 1)], 2, "test")
+
+    def test_standard_classes(self, monkeypatch):
+        # the classes the closed forms pass are those of the built groups
+        calls = []
+
+        def record(classes, order, context):
+            calls.append((list(classes), order))
+            return real(classes, order, context)
+
+        real = closed_forms._class_sum
+        monkeypatch.setattr(closed_forms, "_class_sum", record)
+        for n in range(1, 41):
+            for kind, formula in (("cyclic", cyclic_count), ("dihedral", dihedral_count)):
+                calls.clear()
+                formula(n)
+                assert len(calls) == 1, (kind, n)
+                classes, order = calls[0]
+                group = make_standard_group(kind, 2 * n)
+                passed = Counter()
+                for ct, size in classes:
+                    passed[ct.parts] += size
+                # D_2's four elements act on 2 points as only two permutations
+                scale = 2 if (kind, n) == ("dihedral", 1) else 1
+                sizes = _class_sizes(n, group, "test").items()
+                assert passed == {ct.parts: scale * size for ct, size in sizes}, (kind, n)
+                assert order == scale * group.order, (kind, n)
 
 
 class TestRotationFixedCount:
