@@ -190,14 +190,15 @@ def _cmd_count(args) -> int:
 
 # ---------------------------------------------------------------- table
 
-# the rows' closed forms and floors grow as about n^2.7 in time:
-# `table --from 1 --to 2000` takes about 10 s and 90 MB on a 2-vCPU machine,
-# and --to 3000 took 35 s
+# the rows' closed forms grow as about n^3 in time, and the floors, from one
+# (2n-1)!! carried across the rows, take 0.01 s of it at --to 2000:
+# `table --from 1 --to 2000` takes about 4.5 s and 92 MB on a 2-vCPU
+# machine, and --to 3000 took 16 s and 200 MB
 MAX_TABLE_N = 2000
 
 
 def _cmd_table(args) -> int:
-    from .closed_forms import asymptotic_lower_bound, cyclic_count, dihedral_count
+    from .closed_forms import cyclic_count, diagram_count, dihedral_count
 
     first, last = args.from_n, args.to_n
     if first < 1 or last < first:
@@ -205,16 +206,14 @@ def _cmd_table(args) -> int:
     if last > MAX_TABLE_N:
         raise ResourceLimitError(f"table capped at --to <= {MAX_TABLE_N}, got {last}")
     columns = ("n", "c_n", "floor_c_lower", "d_n", "floor_d_lower")
-    rows = [
-        (
-            n,
-            cyclic_count(n),
-            asymptotic_lower_bound("cyclic", n).exact_floor,
-            dihedral_count(n),
-            asymptotic_lower_bound("dihedral", n).exact_floor,
-        )
-        for n in range(first, last + 1)
-    ]
+    rows = []
+    # (2n-1)!!, carried from row to row; the floors are those of
+    # closed_forms.asymptotic_lower_bound, (2n-1)!! / 2n and (2n-1)!! / 4n
+    matchings = diagram_count(first)
+    for n in range(first, last + 1):
+        rows.append((n, cyclic_count(n), matchings // (2 * n),
+                     dihedral_count(n), matchings // (4 * n)))
+        matchings *= 2 * n + 1
     if args.format == "csv":
         _write_csv(columns, rows)
     else:
@@ -335,9 +334,9 @@ def _verify_checks(n_max: int, oracle_max: int, threads: int) -> list[tuple]:
         for n in range(1, n_max + 1):
             groups[kind, n] = make_standard_group(kind, 2 * n)
             counts[kind, n] = burnside.burnside_count(n, groups[kind, n])
-    # one walk of the D_2n orbit minima per n gives the dihedral orbit
-    # count, the crossing histogram and the strict count
-    census = {n: oracle._dihedral_census(n, threads) for n in range(1, census_max + 1)}
+    # one walk of the D_2n orbit minima per n gives the identity, cyclic and
+    # dihedral orbit summaries, the crossing histogram and the strict count
+    census = {n: oracle._dihedral_census(n, threads) for n in range(1, oracle_max + 1)}
     strict = classic.strict_sequences(n_max).strict
     # one scan of 2 * n_max points gives the transfer row of every n
     transfer = classic._crossing_transfers(n_max)
@@ -355,10 +354,8 @@ def _verify_checks(n_max: int, oracle_max: int, threads: int) -> list[tuple]:
         return None
 
     def formula_vs_oracle(kind: str, n: int) -> str | None:
-        if kind == "dihedral" and n <= census_max:
-            summary = census[n][0]
-        else:
-            summary = oracle.orbit_count(n, groups[kind, n], threads=threads)
+        # the census starts with the orbit summaries in _FORMULA_NAMES order
+        summary = dict(zip(_FORMULA_NAMES, census[n]))[kind]
         expected = _standard_formula(kind)(n)
         if summary.orbit_count != expected:
             return f"n={n}: oracle {summary.orbit_count} != {expected}"
@@ -388,7 +385,7 @@ def _verify_checks(n_max: int, oracle_max: int, threads: int) -> list[tuple]:
         return None
 
     def crossings_vs_census(n: int) -> str | None:
-        if classic.crossing_polynomial(n).coefficients != census[n][1].coefficients:
+        if classic.crossing_polynomial(n).coefficients != census[n][3].coefficients:
             return f"n={n}"
         return None
 
@@ -398,7 +395,7 @@ def _verify_checks(n_max: int, oracle_max: int, threads: int) -> list[tuple]:
         return None
 
     def strict_vs_census(n: int) -> str | None:
-        if strict[n - 1] != census[n][2]:
+        if strict[n - 1] != census[n][4]:
             return f"n={n}"
         return None
 

@@ -55,10 +55,18 @@ orbits' hook to the walker as it is.
 
 The census (_dihedral_census) is one walk of the D_2n orbit minima whose
 step carries the crossing count and whether every chord so far is strict,
-which gives the orbit count, the orbit-size histogram, the crossing
-histogram and the strict count together. crossing_distribution returns
-its crossing histogram, strict_count its strict count, and verify reads
-all four for each n <= 7.
+and whose leaf keys each minimum by k, the size of its non-identity
+stabilizer, k_r, how many of those are rotations, and the step's state.
+A key counted c times stands for c D_2n-orbits of |D| / (1 + k) diagrams
+each, which gives the D_2n orbit summary, the crossing histogram, the
+strict count and the identity group's summary (one orbit per diagram).
+The rotations C_2n form a normal subgroup of D_2n, so the C_2n-orbits
+inside one D_2n-orbit all have stabilizers of order 1 + k_r (conjugate
+to the minimum's): the D_2n-orbit holds |D| (1 + k_r) / (|C| (1 + k)) of
+them, of |C| / (1 + k_r) diagrams each, which gives the C_2n summary.
+Every such division is asserted exact. crossing_distribution returns the
+census's crossing histogram, strict_count its strict count, and verify
+reads all five for each n up to its oracle bound.
 
 The walk is split into the 2n-1 independent branches fixed by the partner
 of point 0. Each branch returns its Counter of keys and the Counters add
@@ -69,11 +77,14 @@ from __future__ import annotations
 
 import os
 from collections import Counter
+from typing import TYPE_CHECKING
 
-from .classic import CrossingPolynomial
 from .diagrams import ChordDiagram, _walk
-from .errors import DomainError, Record, ResourceLimitError
+from .errors import DomainError, Record, ResourceLimitError, exact_div
 from .groups import GroupElement, PermGroup, make_standard_group
+
+if TYPE_CHECKING:
+    from .classic import CrossingPolynomial
 
 DEFAULT_CAP = 8
 HARD_CAP = 9
@@ -280,8 +291,21 @@ def _partner_tuple(partner, stabilizer, state) -> tuple[int, ...]:
     return tuple(partner)
 
 
-def _stabilizer_size_and_state(partner, stabilizer, state) -> tuple[int, object]:
-    return len(stabilizer), state
+def _census_key(partner, stabilizer, state) -> tuple[int, int, object]:
+    """The non-identity stabilizer's size k, how many of its elements are
+    rotations, and the census step's state. A dihedral element is a
+    rotation iff it maps 1 to the successor of its image of 0; a
+    reflection v -> s - v maps 1 to the predecessor, which differs on 4 or
+    more points, and on 2 points the only non-identity element is the
+    rotation by one."""
+    size = len(partner)
+    rotations = 0
+    # a loop, not sum() of a generator: most minima have no stabilizer, and
+    # the generator would cost one more object per leaf
+    for img, _, _ in stabilizer:
+        if img[1] == (img[0] + 1) % size:
+            rotations += 1
+    return len(stabilizer), rotations, state
 
 
 def _orbit_sizes(group_order: int, by_stabilizer: Counter) -> dict[int, int]:
@@ -349,37 +373,57 @@ def _census_step(partner, v, w, state: tuple[int, bool]) -> tuple[int, bool]:
 
 def _dihedral_census(
     n: int, threads: int | None = None
-) -> tuple[OrbitSummary, CrossingPolynomial, int]:
-    """orbit_count(n, D_2n), crossing_distribution(n) and strict_count(n),
-    from one walk of the D_2n orbit minima."""
+) -> tuple[OrbitSummary, OrbitSummary, OrbitSummary, CrossingPolynomial, int]:
+    """orbit_count(n, G) for the identity group, C_2n and D_2n, then
+    crossing_distribution(n) and strict_count(n), from one walk of the
+    D_2n orbit minima."""
+    from .classic import CrossingPolynomial  # only the census builds one
+
     _check_n(n)
     threads = _resolve_threads(threads)
     group = make_standard_group("dihedral", 2 * n)
-    leaves = _orbit_walk(group, _census_step, _stabilizer_size_and_state, (0, True), threads)
-    by_stabilizer: Counter = Counter()
+    leaves = _orbit_walk(group, _census_step, _census_key, (0, True), threads)
+    # a key counted c times stands for c D_2n-orbits of |D| / (1 + k)
+    # diagrams each; C_2n is normal in D_2n, so the C_2n-orbits inside one
+    # of them all have 1 + k_r stabilizer elements, |C| / (1 + k_r) diagrams
+    dihedral_sizes: Counter = Counter()
+    cyclic_sizes: Counter = Counter()
     coeffs = [0] * (n * (n - 1) // 2 + 1)
     strict = 0
-    for (k, (crossings, is_strict)), count in leaves.items():
-        by_stabilizer[k] += count
-        diagrams = count * (group.order // (1 + k))
-        coeffs[crossings] += diagrams
+    for (k, k_r, (crossings, is_strict)), count in leaves.items():
+        size = exact_div(group.order, 1 + k, "dihedral orbit size")
+        dihedral_sizes[size] += count
+        cyclic_size = exact_div(2 * n, 1 + k_r, "cyclic orbit size")
+        per_orbit = exact_div(size, cyclic_size, "cyclic orbits per dihedral orbit")
+        cyclic_sizes[cyclic_size] += count * per_orbit
+        coeffs[crossings] += count * size
         if is_strict:
-            strict += diagrams
-    summary = OrbitSummary(
-        n=n,
-        group_order=group.order,
-        orbit_count=sum(leaves.values()),
-        orbit_size_histogram=_orbit_sizes(group.order, by_stabilizer),
+            strict += count * size
+    total = sum(coeffs)
+
+    def summary(order: int, sizes: Counter) -> OrbitSummary:
+        return OrbitSummary(
+            n=n,
+            group_order=order,
+            orbit_count=sum(sizes.values()),
+            orbit_size_histogram=dict(sorted(sizes.items())),
+        )
+
+    return (
+        summary(1, Counter({1: total})),
+        summary(2 * n, cyclic_sizes),
+        summary(group.order, dihedral_sizes),
+        CrossingPolynomial(n=n, coefficients=tuple(coeffs)),
+        strict,
     )
-    return summary, CrossingPolynomial(n=n, coefficients=tuple(coeffs)), strict
 
 
 def crossing_distribution(n: int, threads: int | None = None) -> CrossingPolynomial:
     """Histogram of diagrams by crossing number, by direct counting."""
-    return _dihedral_census(n, threads)[1]
+    return _dihedral_census(n, threads)[3]
 
 
 def strict_count(n: int) -> int:
     """Number of diagrams with no chord joining circle-adjacent points, by
     direct counting."""
-    return _dihedral_census(n)[2]
+    return _dihedral_census(n)[4]

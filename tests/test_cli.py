@@ -412,6 +412,20 @@ class TestTable:
             {"n": 4, "c_n": "18", "floor_c_lower": "13", "d_n": "17", "floor_d_lower": "6"},
         ]
 
+    @pytest.mark.parametrize("first", [1, 137])
+    def test_floors_equal_the_bounds(self, capsys, first):
+        # table carries (2n-1)!! from row to row instead of asking
+        # asymptotic_lower_bound for it twice per row
+        from chorddia.closed_forms import asymptotic_lower_bound
+
+        assert run(["table", "--from", str(first), "--to", "300"]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert [int(row[0]) for row in rows] == list(range(first, 301))
+        for n, _, floor_c, _, floor_d in rows:
+            n = int(n)
+            assert int(floor_c) == asymptotic_lower_bound("cyclic", n).exact_floor
+            assert int(floor_d) == asymptotic_lower_bound("dihedral", n).exact_floor
+
     def test_bad_range(self, capsys):
         assert run(["table", "--from", "5", "--to", "3"]) == 2
         capsys.readouterr()
@@ -901,53 +915,46 @@ class TestVerify:
         assert "all checks passed" in solo.out
 
     def test_one_census_walk_per_n(self, capsys, monkeypatch):
-        # the dihedral orbit, crossing and strict lines read one census walk
-        # for n <= 7; only n = 8 walks the dihedral orbits on its own
+        # the identity, cyclic and dihedral orbit lines, the crossing line
+        # and the strict line read one census walk per n
         from chorddia import oracle
 
         census = []
-        orbits = []
         census_walk = oracle._dihedral_census
-        orbit_count = oracle.orbit_count
 
         def record_census(n, threads=None):
             census.append(n)
             return census_walk(n, threads)
 
-        def record_orbits(n, group, threads=None):
-            orbits.append((n, group.order))
-            if n == 8 and group.order == 1:
-                # one orbit per matching; spares the test a 2-million-leaf walk
-                return oracle.OrbitSummary(8, 1, 2027025, {1: 2027025})
-            return orbit_count(n, group, threads)
-
         def refuse(*args, **kwargs):
-            raise AssertionError("verify walked the dihedral minima twice")
+            raise AssertionError("verify walked the matchings twice")
 
         monkeypatch.setattr(oracle, "_dihedral_census", record_census)
-        monkeypatch.setattr(oracle, "orbit_count", record_orbits)
+        monkeypatch.setattr(oracle, "orbit_count", refuse)
         monkeypatch.setattr(oracle, "crossing_distribution", refuse)
         monkeypatch.setattr(oracle, "strict_count", refuse)
         assert run(["verify", "--n-max", "8", "--oracle-max", "8"]) == 0
         assert "all checks passed" in capsys.readouterr().out
-        assert census == [1, 2, 3, 4, 5, 6, 7]
-        dihedral = [n for n, order in orbits if order == 4 * n and n > 1]
-        assert dihedral == [8]
+        assert census == [1, 2, 3, 4, 5, 6, 7, 8]
 
     @pytest.mark.parametrize(
         "part,line",
         [
-            (0, "FAIL formula == oracle (dihedral, n <= 3): n=3: oracle 6 != 5"),
-            (1, "FAIL crossing polynomial == crossing histogram (n <= 3): n=3"),
-            (2, "FAIL strict recurrence == strict enumeration (n <= 3): n=3"),
+            (0, "FAIL formula == oracle (identity, n <= 3): n=3: oracle 16 != 15"),
+            (1, "FAIL formula == oracle (cyclic, n <= 3): n=3: oracle 6 != 5"),
+            (2, "FAIL formula == oracle (dihedral, n <= 3): n=3: oracle 6 != 5"),
+            (3, "FAIL crossing polynomial == crossing histogram (n <= 3): n=3"),
+            (4, "FAIL strict recurrence == strict enumeration (n <= 3): n=3"),
         ],
-        ids=["orbits", "crossings", "strict"],
+        ids=["identity", "cyclic", "orbits", "crossings", "strict"],
     )
     def test_census_mismatch_fails(self, capsys, monkeypatch, part, line):
         from chorddia import classic, oracle
 
         census_walk = oracle._dihedral_census
         wrong = (
+            oracle.OrbitSummary(3, 1, 16, {1: 16}),
+            oracle.OrbitSummary(3, 6, 6, {6: 6}),
             oracle.OrbitSummary(3, 12, 6, {12: 6}),
             classic.CrossingPolynomial(3, (5, 6, 3, 2)),
             5,

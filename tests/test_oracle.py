@@ -183,7 +183,7 @@ class TestCap:
 
 
 class TestDihedralCensus:
-    # verify's one walk of the D_2n orbit minima in place of three
+    # verify's one walk of the D_2n orbit minima in place of five
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
     def test_equals_the_three_walks(self, n, threads):
@@ -198,11 +198,25 @@ class TestDihedralCensus:
         # crossing_distribution and strict_count read the census, so the
         # crossings are checked against the transfer count and the strict
         # count against inclusion-exclusion, neither of which walks a matching
-        assert _dihedral_census(n, threads) == (
+        assert _dihedral_census(n, threads)[2:] == (
             orbit_count(n, group, threads=threads),
             CrossingPolynomial(n, _crossing_transfers(n)[-1]),
             _strict_inclusion_exclusion(n),
         )
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+    def test_identity_and_cyclic_equal_their_walks(self, n, threads):
+        # verify reads these two summaries from the D_2n census alone, so
+        # they are checked against walks over the groups themselves
+        from chorddia.oracle import _dihedral_census
+
+        census = _dihedral_census(n, threads)
+        for kind, derived in zip(("identity", "cyclic"), census):
+            walked = orbit_count(n, make_standard_group(kind, 2 * n), threads=threads)
+            assert derived == walked, kind
+            # the histogram lists orbit sizes in the same ascending order
+            assert list(derived.orbit_size_histogram) == list(walked.orbit_size_histogram)
 
     def test_cap(self, monkeypatch):
         from chorddia.oracle import _dihedral_census

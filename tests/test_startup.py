@@ -61,10 +61,13 @@ def test_cli_import_loads_no_command_module():
     [
         (("count", "--n", "5"),
          ("chorddia.oracle", "chorddia.burnside", "multiprocessing", "fractions")),
-        (("count", "--n", "5", "--method", "oracle"), ("multiprocessing", "chorddia.burnside")),
+        (("count", "--n", "5", "--method", "oracle"),
+         ("multiprocessing", "chorddia.burnside", "chorddia.classic")),
+        (("enumerate", "--n", "5", "--group", "dihedral"),
+         ("multiprocessing", "chorddia.burnside", "chorddia.classic")),
         (("strict", "--n-max", "5"), ("chorddia.closed_forms", "chorddia.groups")),
     ],
-    ids=["formula", "oracle", "strict"],
+    ids=["formula", "oracle", "enumerate", "strict"],
 )
 def test_command_loads_only_its_modules(args, absent):
     loaded = loaded_by(main_snippet(*args))
