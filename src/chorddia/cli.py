@@ -318,22 +318,21 @@ MAX_VERIFY_N = 35
 
 
 def _verify_checks(n_max: int, oracle_max: int, threads: int) -> list[tuple]:
-    """verify's lines in print order, each (label, last n, detail_at,
-    stream): detail_at(n) returns the line's mismatch at n, or None."""
-    from functools import partial
-
+    """verify's lines in print order, each (label, last n, pair, stream):
+    pair(n) returns the two values that the label says are equal at n, in
+    the label's order."""
     from . import burnside, classic, closed_forms, oracle
     from .groups import make_standard_group
 
-    census_max = min(oracle_max, 7)
     rotation_max = min(oracle_max, 6)
 
     # the values that several lines read, each computed once
-    groups, counts = {}, {}
+    groups, counts, formulas = {}, {}, {}
     for kind in _FORMULA_NAMES:
         for n in range(1, n_max + 1):
             groups[kind, n] = make_standard_group(kind, 2 * n)
             counts[kind, n] = burnside.burnside_count(n, groups[kind, n])
+            formulas[kind, n] = _standard_formula(kind)(n)
     # one walk of the D_2n orbit minima per n gives the identity, cyclic and
     # dihedral orbit summaries, the crossing histogram and the strict count
     census = {n: oracle._dihedral_census(n, threads) for n in range(1, oracle_max + 1)}
@@ -341,69 +340,17 @@ def _verify_checks(n_max: int, oracle_max: int, threads: int) -> list[tuple]:
     # one scan of 2 * n_max points gives the transfer row of every n
     transfer = classic._crossing_transfers(n_max)
 
-    def formula_vs_burnside(kind: str, n: int) -> str | None:
-        got, expected = counts[kind, n], _standard_formula(kind)(n)
-        if got != expected:
-            return f"n={n}: burnside {got} != formula {expected}"
-        return None
-
-    def burnside_vs_wreath(kind: str, n: int) -> str | None:
-        got, wreath = counts[kind, n], burnside._wreath_class_sum(n, groups[kind, n])
-        if wreath != got:
-            return f"n={n}: wreath class sum {wreath} != burnside {got}"
-        return None
-
-    def formula_vs_oracle(kind: str, n: int) -> str | None:
+    def oracle_pair(kind: str, n: int) -> tuple:
         # the census starts with the orbit summaries in _FORMULA_NAMES order
         summary = dict(zip(_FORMULA_NAMES, census[n]))[kind]
-        expected = _standard_formula(kind)(n)
-        if summary.orbit_count != expected:
-            return f"n={n}: oracle {summary.orbit_count} != {expected}"
         mass = sum(s * k for s, k in summary.orbit_size_histogram.items())
-        if mass != closed_forms.diagram_count(n):
-            return f"n={n}: histogram mass {mass}"
-        return None
+        return (formulas[kind, n], closed_forms.diagram_count(n)), (summary.orbit_count, mass)
 
-    def rotation_fixed(n: int) -> str | None:
-        fixed_total = 0
-        for g in groups["cyclic", n].elements:
-            fixed = oracle.fixed_diagram_count(n, g)
-            expected = closed_forms.rotation_fixed_count(n, g.order())
-            if fixed != expected:
-                return f"n={n}, order {g.order()}: {fixed} != {expected}"
-            fixed_total += fixed
-        if fixed_total != 2 * n * closed_forms.cyclic_count(n):
-            return f"n={n}: Burnside average mismatch"
-        return None
-
-    def wreath_mass(n: int) -> str | None:
-        # the weights of every term that the class sums draw from, added up
-        # without grouping them by cycle type
-        total = sum(weight for _, weight in burnside._wreath_terms(n))
-        if total != 2**n * math.factorial(n):
-            return f"n={n}: total {total}"
-        return None
-
-    def crossings_vs_census(n: int) -> str | None:
-        if classic.crossing_polynomial(n).coefficients != census[n][3].coefficients:
-            return f"n={n}"
-        return None
-
-    def crossings_vs_transfer(n: int) -> str | None:
-        if classic.crossing_polynomial(n).coefficients != transfer[n - 1]:
-            return f"n={n}"
-        return None
-
-    def strict_vs_census(n: int) -> str | None:
-        if strict[n - 1] != census[n][4]:
-            return f"n={n}"
-        return None
-
-    def strict_vs_inclusion_exclusion(n: int) -> str | None:
-        got, expected = classic._strict_inclusion_exclusion(n), strict[n - 1]
-        if got != expected:
-            return f"n={n}: inclusion-exclusion {got} != {expected}"
-        return None
+    def rotation_pair(n: int) -> tuple:
+        rotations = groups["cyclic", n].elements
+        closed = tuple(closed_forms.rotation_fixed_count(n, g.order()) for g in rotations)
+        walked = tuple(oracle.fixed_diagram_count(n, g) for g in rotations)
+        return (closed, 2 * n * formulas["cyclic", n]), (walked, sum(walked))
 
     # A line on stderr counts towards the failures and the exit code like
     # any other; it is there because perfbench/pins.json pins verify's
@@ -413,30 +360,36 @@ def _verify_checks(n_max: int, oracle_max: int, threads: int) -> list[tuple]:
     for kind in _FORMULA_NAMES:
         checks += [
             (f"formula == burnside ({kind}, n <= {n_max})", n_max,
-             partial(formula_vs_burnside, kind), out),
+             lambda n, kind=kind: (formulas[kind, n], counts[kind, n]), out),
             (f"burnside == wreath class sum ({kind}, n <= {n_max})", n_max,
-             partial(burnside_vs_wreath, kind), err),
+             lambda n, kind=kind: (
+                 counts[kind, n], burnside._wreath_class_sum(n, groups[kind, n])), err),
         ]
     for kind in _FORMULA_NAMES:
         checks.append((f"formula == oracle ({kind}, n <= {oracle_max})", oracle_max,
-                       partial(formula_vs_oracle, kind), out))
+                       lambda n, kind=kind: oracle_pair(kind, n), out))
     return checks + [
         (f"rotation fixed counts match closed form (n <= {rotation_max})", rotation_max,
-         rotation_fixed, out),
-        (f"wreath distribution mass == 2^n n! (n <= {n_max})", n_max, wreath_mass, out),
-        (f"crossing polynomial == crossing histogram (n <= {census_max})", census_max,
-         crossings_vs_census, out),
+         rotation_pair, out),
+        # the weights of every term that the class sums draw from, added up
+        # without grouping them by cycle type
+        (f"wreath distribution mass == 2^n n! (n <= {n_max})", n_max,
+         lambda n: (sum(weight for _, weight in burnside._wreath_terms(n)),
+                    2**n * math.factorial(n)), out),
+        (f"crossing polynomial == crossing histogram (n <= {oracle_max})", oracle_max,
+         lambda n: (classic.crossing_polynomial(n).coefficients,
+                    census[n][3].coefficients), out),
         # the census's crossings share its pruning with the orbit counts, so
         # a formula-free transfer count checks the polynomial on its own; it
         # walks no matching, so it runs to n_max
         (f"crossing polynomial == transfer count (n <= {n_max})", n_max,
-         crossings_vs_transfer, err),
-        (f"strict recurrence == strict enumeration (n <= {census_max})", census_max,
-         strict_vs_census, out),
+         lambda n: (classic.crossing_polynomial(n).coefficients, transfer[n - 1]), err),
+        (f"strict recurrence == strict enumeration (n <= {oracle_max})", oracle_max,
+         lambda n: (strict[n - 1], census[n][4]), out),
         # a second count of strict diagrams that needs no oracle, so it runs
         # to n_max
         (f"strict recurrence == inclusion-exclusion (n <= {n_max})", n_max,
-         strict_vs_inclusion_exclusion, err),
+         lambda n: (strict[n - 1], classic._strict_inclusion_exclusion(n)), err),
     ]
 
 
@@ -458,12 +411,12 @@ def _cmd_verify(args) -> int:
     elif oracle_max > cap:
         raise ResourceLimitError(f"--oracle-max {oracle_max} exceeds the enumeration cap {cap}")
     failures = 0
-    for label, last, detail_at, stream in _verify_checks(n_max, oracle_max, args.threads):
+    for label, last, pair, stream in _verify_checks(n_max, oracle_max, args.threads):
         for n in range(1, last + 1):
-            detail = detail_at(n)
-            if detail is not None:
+            left, right = pair(n)
+            if left != right:
                 failures += 1
-                print(f"FAIL {label}: {detail}", file=stream)
+                print(f"FAIL {label}: n={n}: {left} != {right}", file=stream)
                 break
         else:
             print(f"ok   {label}", file=stream)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -792,6 +793,12 @@ VERIFY_GOLDEN = {
 }
 
 
+# verify's labels in print order, at the argv of test_each_line_fails_alone
+VERIFY_LABELS = [label for label, *_ in cli._verify_checks(4, 3, 1)]
+# each label up to its last n, in word characters, as a test id
+VERIFY_IDS = [re.sub(r"\W+", "_", label.split("n <=")[0]).strip("_") for label in VERIFY_LABELS]
+
+
 class TestVerify:
     def test_small_run_passes(self, capsys):
         assert run(["verify", "--n-max", "4"]) == 0
@@ -827,7 +834,7 @@ class TestVerify:
         monkeypatch.setattr(burnside, "_wreath_terms", heavier)
         assert run(["verify", "--n-max", "2", "--oracle-max", "1"]) == 1
         captured = capsys.readouterr()
-        assert "FAIL wreath distribution mass == 2^n n! (n <= 2): n=1: total 4" in captured.out
+        assert "FAIL wreath distribution mass == 2^n n! (n <= 2): n=1: 4 != 2\n" in captured.out
         assert "1 failure(s)" in captured.out
 
     def test_work_bound(self, capsys, monkeypatch):
@@ -883,7 +890,7 @@ class TestVerify:
         captured = capsys.readouterr()
         assert (
             "FAIL strict recurrence == inclusion-exclusion (n <= 3):"
-            " n=1: inclusion-exclusion 1 != 0" in captured.err
+            " n=1: 0 != 1\n" in captured.err
         )
         assert "1 failure(s)" in captured.out
 
@@ -934,17 +941,23 @@ class TestVerify:
         monkeypatch.setattr(oracle, "crossing_distribution", refuse)
         monkeypatch.setattr(oracle, "strict_count", refuse)
         assert run(["verify", "--n-max", "8", "--oracle-max", "8"]) == 0
-        assert "all checks passed" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "all checks passed" in out
         assert census == [1, 2, 3, 4, 5, 6, 7, 8]
+        # the crossing and strict lines read the census at every n it walks
+        assert "ok   crossing polynomial == crossing histogram (n <= 8)\n" in out
+        assert "ok   strict recurrence == strict enumeration (n <= 8)\n" in out
 
     @pytest.mark.parametrize(
         "part,line",
         [
-            (0, "FAIL formula == oracle (identity, n <= 3): n=3: oracle 16 != 15"),
-            (1, "FAIL formula == oracle (cyclic, n <= 3): n=3: oracle 6 != 5"),
-            (2, "FAIL formula == oracle (dihedral, n <= 3): n=3: oracle 6 != 5"),
-            (3, "FAIL crossing polynomial == crossing histogram (n <= 3): n=3"),
-            (4, "FAIL strict recurrence == strict enumeration (n <= 3): n=3"),
+            # (formula, (2n-1)!!) against (orbit count, histogram mass)
+            (0, "FAIL formula == oracle (identity, n <= 3): n=3: (15, 15) != (16, 16)\n"),
+            (1, "FAIL formula == oracle (cyclic, n <= 3): n=3: (5, 15) != (6, 36)\n"),
+            (2, "FAIL formula == oracle (dihedral, n <= 3): n=3: (5, 15) != (6, 72)\n"),
+            (3, "FAIL crossing polynomial == crossing histogram (n <= 3):"
+                " n=3: (5, 6, 3, 1) != (5, 6, 3, 2)\n"),
+            (4, "FAIL strict recurrence == strict enumeration (n <= 3): n=3: 4 != 5\n"),
         ],
         ids=["identity", "cyclic", "orbits", "crossings", "strict"],
     )
@@ -1004,13 +1017,41 @@ class TestVerify:
         monkeypatch.setattr(classic, "_strict_inclusion_exclusion", off_by_one)
         assert run(["verify", "--n-max", "4", "--oracle-max", "2"]) == 1
         out, err = capsys.readouterr()
-        assert "FAIL wreath distribution mass == 2^n n! (n <= 4): n=2: total 9\n" in out
-        assert (
-            "FAIL strict recurrence == inclusion-exclusion (n <= 4):"
-            " n=2: inclusion-exclusion 2 != 1\n" in err
-        )
+        assert "FAIL wreath distribution mass == 2^n n! (n <= 4): n=2: 9 != 8\n" in out
+        assert "FAIL strict recurrence == inclusion-exclusion (n <= 4): n=2: 1 != 2\n" in err
         assert "n=3" not in out + err
         assert out.endswith("2 failure(s)\n")
+
+    @pytest.mark.parametrize("index", range(len(VERIFY_LABELS)), ids=VERIFY_IDS)
+    def test_each_line_fails_alone(self, capsys, monkeypatch, index):
+        # entry `index` gets a wrong right value at n = 2; only its line fails
+        checks_of = cli._verify_checks
+        seen = {}
+
+        def one_wrong(*args):
+            checks = checks_of(*args)
+            label, last, pair, stream = checks[index]
+
+            def wrong_at_2(n):
+                left, right = pair(n)
+                if n != 2:
+                    return left, right
+                seen["left"] = left
+                return left, "wrong"
+
+            checks[index] = (label, last, wrong_at_2, stream)
+            seen["checks"] = checks
+            return checks
+
+        monkeypatch.setattr(cli, "_verify_checks", one_wrong)
+        assert run(["verify", "--n-max", "4", "--oracle-max", "3"]) == 1
+        out, err = capsys.readouterr()
+        expected = {sys.stdout: "", sys.stderr: ""}
+        for i, (label, _, _, stream) in enumerate(seen["checks"]):
+            line = f"FAIL {label}: n=2: {seen['left']} != wrong" if i == index else f"ok   {label}"
+            expected[stream] += line + "\n"
+        assert out == expected[sys.stdout] + "1 failure(s)\n"
+        assert err == expected[sys.stderr]
 
 
 class TestRenderSvg:
