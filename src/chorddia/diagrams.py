@@ -125,67 +125,208 @@ def canonical_form(diagram: ChordDiagram, group: PermGroup) -> ChordDiagram:
     return ChordDiagram(best)
 
 
+# (images, inverse-images) per element, the form the hot loops consume
+_ElementArrays = tuple[tuple[int, ...], tuple[int, ...]]
+# an element still compared with p: (images, inverse, needs, r), where
+# needs[r] has the bits of the two points its comparison at r needs
+_Tied = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], int]
+# table[a][b]: (least image, elements reaching it) or None; see _position0_table
+_Table = list[list[tuple[int, list[_Tied]] | None]]
+
+
+def _position0_table(size: int, elems: list[_ElementArrays]) -> _Table | None:
+    """Position-0 table of the orbit walk over the non-identity elements,
+    or None when there are none.
+
+    Element g compares g.p with p at position 0 exactly when the chord
+    {a, b} with g(a) = 0 is placed, and g.p[0] = g(b) then. So
+    table[a][b] (and table[b][a], the same entry) holds the least g(b)
+    over the elements with g(a) = 0 or g(b) = 0 (with a and b swapped),
+    and the elements that reach it. Those tie with p at position 0 when
+    it equals p[0], so each is stored ready to compare at position 1.
+    """
+    if not elems:
+        return None
+    table: _Table = [[None] * size for _ in range(size)]
+    for img, inv in elems:
+        # the comparison at position r needs p[r] and p[inv[r]]; at size
+        # it is over (the element fixes p) and needs nothing
+        needs = tuple([1 << r | 1 << inv[r] for r in range(size)] + [0])
+        a = inv[0]
+        row = table[a]
+        for b in range(size):
+            if b == a:
+                continue
+            image = img[b]
+            entry = row[b]
+            if entry is None or image < entry[0]:
+                entry = row[b] = table[b][a] = (image, [])
+            if image == entry[0]:
+                entry[1].append((img, inv, needs, 1))
+    return table
+
+
+def _position0_settle(table: _Table, p0: int) -> list[list[list[_Tied] | None]]:
+    """The position-0 settle of every chord once p[0] = p0, the one place
+    that compares a table entry with p[0]: None when each element that
+    the chord settles has a larger g.p (they drop out), an empty list
+    when one has a smaller g.p (no matching below is a minimum), else the
+    elements that tie and go on at position 1."""
+    return [
+        [None if e is None or e[0] > p0 else e[1] if e[0] == p0 else [] for e in row]
+        for row in table
+    ]
+
+
+def _orderly_advance(partner, placed, tied):
+    """Advance the comparison of g.p with p for each element in tied,
+    dropping those whose image is larger.
+
+    placed has the bits of the points just placed: an element whose
+    comparison needs none of them is kept as it is. Returns None once
+    some g.p is smaller, else the elements kept and the bits of the
+    points that they wait for.
+    """
+    size = len(partner)
+    kept = []
+    waits = 0
+    for elem in tied:
+        img, inv, needs, r = elem
+        if not needs[r] & placed:
+            kept.append(elem)
+            waits |= needs[r]
+            continue
+        while r < size:
+            a = partner[r]
+            x = partner[inv[r]]
+            if a < 0 or x < 0:
+                kept.append((img, inv, needs, r))
+                waits |= needs[r]
+                break
+            b = img[x]
+            if b != a:
+                if b < a:
+                    return None
+                break
+            r += 1
+        else:
+            kept.append((img, inv, needs, r))  # equal everywhere: it fixes p
+    return kept, waits
+
+
+def _orderly_finish(partner, tied):
+    """_orderly_advance once every point is matched: run each comparison
+    in tied to its end. Returns None once some g.p is smaller, else the
+    elements that fix p."""
+    size = len(partner)
+    kept = []
+    for img, inv, needs, r in tied:
+        while r < size:
+            a = partner[r]
+            b = img[partner[inv[r]]]
+            if b != a:
+                if b < a:
+                    return None
+                break
+            r += 1
+        else:
+            kept.append((img, inv, needs, r))
+    return kept
+
+
 def _walk(
-    size: int, first: int | None, place: Callable | None, state
-) -> Iterator[tuple[list[int], object]]:
+    size: int, first: int | None, place: Callable | None, state, table: _Table | None = None
+) -> Iterator[tuple]:
     """Depth-first walk over the perfect matchings of [0, size), carrying
     state from each partial matching down to its extensions.
 
     Yields (partner, state) at each complete matching, in the order of
     matchings(). After chord (v, w) is written into partner (v is the
     smallest unmatched point, w > v), place(partner, v, w, state) returns
-    the state of that subtree, or None to skip the subtree. The chord
-    (0, first) is placed the same way when first is given. place=None
-    keeps state unchanged and skips nothing. Chords are placed in
-    ascending order of their smaller endpoint, so when (v, w) is placed
+    the state of that subtree, or None to skip the subtree. With first
+    given, only the matchings with chord (0, first) are walked.
+    place=None keeps state unchanged and skips nothing. Chords are placed
+    in ascending order of their smaller endpoint, so when (v, w) is placed
     every point below v is matched.
+
+    With a position-0 table (_position0_table) the walk keeps only the
+    matchings that are the least in their orbit under the table's group
+    (the orderly test of the oracle module's docstring) and yields
+    (partner, stabilizer, state), stabilizer being the non-identity
+    elements that fix the matching, each as (images, inverse, needs,
+    size). The root chord fixes p[0], and with it _position0_settle for
+    the whole walk below it. Each chord is looked up there before it is
+    written, and dropped when some g.p is already smaller; the elements
+    that tie join those compared past position 0, and _orderly_advance
+    runs only when one of those needs a point that the chord places.
+    Only then does place see the chord.
 
     The last two chords have no level of their own: once four points
     a < b < c < d are left, a is joined to b, c and d in turn, and the
-    other two take the forced chord. Both chords still go through place,
-    in that order.
+    other two take the forced chord. With a table both chords are looked
+    up, and _orderly_finish compares the complete matching once, before
+    place sees them, in order, each with only the chords before it.
     """
     if size % 2:
         raise DomainError("matchings need an even number of points")
+    if first is not None and not 1 <= first < size:
+        raise DomainError("first_partner must be in [1, size)")
     partner = [-1] * size
-    left = size  # unmatched points
-    if first is not None:
-        if not 1 <= first < size:
-            raise DomainError("first_partner must be in [1, size)")
-        partner[0] = first
-        partner[first] = 0
-        left -= 2
-        if place is not None:
-            state = place(partner, 0, first, state)
-            if state is None:
-                return
-    if left < 6:
-        yield from _walk_rest(partner, place, state)
+    if not size:
+        yield partner, state
         return
+    # the root level joins point 0 to each point below end in turn
+    root_end = end = size if first is None else first + 1
     v = 0
-    while partner[v] >= 0:
-        v += 1
-    # the open levels above the current one: their point, partner, state
-    stack: list[tuple[int, int, object]] = []
-    # the chord placed at this stack depth leaves the last four points
-    tail_depth = left // 2 - 3
+    w = 0 if first is None else first - 1
+    # the chord placed at tail_depth leaves the last four points; on 2 or 4
+    # points every chord has a level, and the one at last_depth is the last
+    tail_depth = size // 2 - 3
+    last_depth = size // 2 - 1
+    # the open levels above the current one: their point, partner, state,
+    # the elements compared past position 0 and the points they wait for
+    stack: list[tuple[int, int, object, list[_Tied], int]] = []
     depth = 0
-    w = v
+    tied: list[_Tied] = []
+    waits = 0
+    child_tied, child_waits = tied, waits
     while True:
         w += 1
-        while w < size and partner[w] >= 0:
+        while w < end and partner[w] >= 0:
             w += 1
-        if w == size:
+        if w == end:
             # every partner of v tried: close this level
             partner[v] = -1
             if not stack:
                 return
-            v, w, state = stack.pop()
+            v, w, state, tied, waits = stack.pop()
             depth -= 1
             partner[w] = -1
+            if not stack:
+                end = root_end
             continue
         partner[v] = w
-        partner[w] = v
+        if table is not None:
+            child_tied, child_waits = tied, waits
+            if not v:
+                settle = _position0_settle(table, w)
+            ties = settle[v][w]
+            due = 0
+            if ties is not None:
+                if not ties:
+                    continue  # some g.p is already smaller: w stays unwritten
+                # the elements that tie compare at position 1 now: due has
+                # the bit of point 1, which each of them needs
+                child_tied, due = tied + ties, 2
+            partner[w] = v
+            if due or waits and waits & (1 << v | 1 << w):
+                settled = _orderly_advance(partner, due | 1 << v | 1 << w, child_tied)
+                if settled is None:
+                    partner[w] = -1
+                    continue
+                child_tied, child_waits = settled
+        else:
+            partner[w] = v
         child = state
         if place is not None:
             child = place(partner, v, w, state)
@@ -193,12 +334,17 @@ def _walk(
                 partner[w] = -1
                 continue
         if depth != tail_depth:
+            if depth == last_depth:
+                yield (partner, child) if table is None else (partner, child_tied, child)
+                partner[w] = -1
+                continue
+            stack.append((v, w, state, tied, waits))
+            depth += 1
+            end = size
             u = v + 1
             while partner[u] >= 0:
                 u += 1
-            stack.append((v, w, state))
-            depth += 1
-            v, w, state = u, u, child
+            v, w, state, tied, waits = u, u, child, child_tied, child_waits
             continue
         # the last four points, a < b < c < d: a takes b, c, d in turn
         a = v + 1
@@ -213,7 +359,7 @@ def _walk(
         d = c + 1
         while partner[d] >= 0:
             d += 1
-        if place is None:
+        if place is None and table is None:
             # {a, b} {c, d}, then {a, c} {b, d}, then {a, d} {b, c}
             partner[a], partner[b], partner[c], partner[d] = b, a, d, c
             yield partner, child
@@ -221,42 +367,43 @@ def _walk(
             yield partner, child
             partner[a], partner[b], partner[c], partner[d] = d, c, b, a
             yield partner, child
-        else:
-            for x, y, z in ((b, c, d), (c, b, d), (d, b, c)):
-                partner[a] = x
-                partner[x] = a
-                last = place(partner, a, x, child)
-                if last is not None:
-                    partner[y] = z
-                    partner[z] = y
-                    last = place(partner, y, z, last)
-                    if last is not None:
-                        yield partner, last
-                    partner[y] = partner[z] = -1
-                partner[x] = -1
-        partner[a] = partner[b] = partner[c] = partner[d] = partner[w] = -1
-
-
-def _walk_rest(partner: list[int], place: Callable | None, state):
-    """_walk's recursive form, for the at most four points left at its root
-    (too few for the loop's levels)."""
-    size = len(partner)
-    v = 0
-    while v < size and partner[v] >= 0:
-        v += 1
-    if v == size:
-        yield partner, state
-        return
-    for w in range(v + 1, size):
-        if partner[w] >= 0:
+            partner[a] = partner[b] = partner[c] = partner[d] = partner[w] = -1
             continue
-        partner[v] = w
-        partner[w] = v
-        child = state if place is None else place(partner, v, w, state)
-        if place is None or child is not None:
-            yield from _walk_rest(partner, place, child)
-        partner[w] = -1
-    partner[v] = -1
+        for x, y, z in ((b, c, d), (c, b, d), (d, b, c)):
+            last_tied, last = child_tied, child
+            if table is not None:
+                # both chords are looked up, and the complete matching is
+                # compared once, before place sees either of them
+                ties = settle[a][x]
+                if ties is not None:
+                    if not ties:
+                        continue
+                    last_tied = last_tied + ties
+                ties = settle[y][z]
+                if ties is not None:
+                    if not ties:
+                        continue
+                    last_tied = last_tied + ties
+                if last_tied:
+                    partner[a], partner[x], partner[y], partner[z] = x, a, z, y
+                    last_tied = _orderly_finish(partner, last_tied)
+                    if last_tied is None:
+                        continue
+            partner[a] = x
+            partner[x] = a
+            partner[y] = partner[z] = -1
+            if place is not None:
+                last = place(partner, a, x, last)
+                if last is None:
+                    continue
+            partner[y] = z
+            partner[z] = y
+            if place is not None:
+                last = place(partner, y, z, last)
+                if last is None:
+                    continue
+            yield (partner, last) if table is None else (partner, last_tied, last)
+        partner[a] = partner[b] = partner[c] = partner[d] = partner[w] = -1
 
 
 def matchings(size: int, first_partner: int | None = None) -> Iterator[list[int]]:

@@ -11,47 +11,56 @@ can pass the path's test, so the results equal those of testing every one
 of the (2n-1)!! matchings:
 
 - orbits: a diagram is counted iff it is the lexicographic minimum of its
-  orbit (no global dedup set). For each non-identity g the hook compares
-  the image g.p with p position by position, as far as the placed chords
-  determine both. Once g.p is larger at some position, no completion can
-  make g.p smaller, so g is dropped; once g.p is smaller, no completion
-  is a minimum, so the subtree is skipped. At a complete matching the
-  elements still compared equal at every position are exactly the
-  non-identity stabilizer.
-  Position 0 is settled from a table built once per call. p[0] is placed
-  by the first chord, and g.p[0] = g(b) for the chord {a, b} with
-  g(a) = 0, so every g compares position 0 exactly once, when that chord
-  is placed, against the same p[0]. For each chord the table holds the
-  least g(b) over the elements it settles and the elements reaching it.
-  If the least is below p[0], some g.p is smaller, which is just when the
-  per-element comparison skips; if it is above, every such g is larger
-  and dropped; if equal, the elements reaching it tie and go on, one by
-  one, from position 1, and the rest are dropped. So the decisions, and
-  the elements left at each leaf, are those of comparing every element
-  from position 0, and the hook's state holds only the few elements past
-  position 0 (the others wait there implicitly).
+  orbit (no global dedup set). The walker makes this orderly test itself
+  when it is given the group's position-0 table: for each non-identity g
+  it compares the image g.p with p position by position, as far as the
+  placed chords determine both. Once g.p is larger at some position, no
+  completion can make g.p smaller, so g is dropped; once g.p is smaller,
+  no completion is a minimum, so the subtree is skipped. At a complete
+  matching the elements still compared equal at every position are
+  exactly the non-identity stabilizer.
+  Position 0 is settled per chord. p[0] is placed by the first chord, and
+  g.p[0] = g(b) for the chord {a, b} with g(a) = 0, so every g compares
+  position 0 exactly once, when that chord is placed, against the same
+  p[0]. For each chord the table (diagrams._position0_table) holds the
+  least g(b) over the elements it settles and the elements reaching it,
+  and diagrams._position0_settle compares each least with p[0] once per
+  branch. If the least is below p[0], some g.p is smaller, which is just
+  when the per-element comparison skips, so the chord is skipped before
+  it is written; if it is above, every such g is larger and dropped; if
+  equal, the elements reaching it tie and go on from position 1, and the
+  rest are dropped. So the decisions, and the elements left at each leaf,
+  are those of comparing every element from position 0, and the walk
+  carries only the few elements past position 0 (the others wait there
+  implicitly), with a mask of the points their comparisons wait for:
+  diagrams._orderly_advance runs only for a chord that places one of
+  them. The last two chords are both settled at position 0 before either
+  is compared further, and diagrams._orderly_finish then compares the
+  complete matching once.
 - crossings and strict: both are constant on the orbits of the dihedral
   group D_2n (order 4n for n >= 2), since a rotation or reflection of the
   circle keeps interleaved chords interleaved and circle-adjacent points
   adjacent. So both are read from the census below, which walks only the
-  D_2n orbit minima, with the orbits' hook, and adds each minimum's orbit
-  size |G| / |Stab| (orbit-stabilizer) in place of 1. Both ride along in
-  the state: when chord (v, w) is placed, the matched points inside
-  (v, w) all have partners below v, so each is one crossing with (v, w),
-  and every crossing is counted once, when its later chord is placed; a
-  diagram stays strict until a chord (v, v+1) or (0, 2n-1) is placed.
+  D_2n orbit minima and adds each minimum's orbit size |G| / |Stab|
+  (orbit-stabilizer) in place of 1. Both ride along in the state: when
+  chord (v, w) is placed, the matched points inside (v, w) all have
+  partners below v, so each is one crossing with (v, w), and every
+  crossing is counted once, when its later chord is placed; a diagram
+  stays strict until a chord (v, v+1) or (0, 2n-1) is placed.
 - fixed count: a chord (v, w) is skipped when g maps it, or maps a placed
   chord onto one of its points, inconsistently with what is placed;
-  every matching reached is then fixed by g.
+  every matching reached is then fixed by g. The identity fixes every
+  matching, so its count walks with no hook.
 
-Every orbit path runs one function, _orbit_walk(group, step, leaf): the
-orbits' hook, then an optional per-path step (the census's crossing count
-and strict flag) on each placed chord, and at each orbit minimum a leaf
-that maps its partner array, its stabilizer and the step's state to a
-key, counted over all minima. orbit_count counts minima by stabilizer
-size, representatives keeps each minimum's partner array, and the census
-weights each key by its orbit size. With no step _orbit_walk passes the
-orbits' hook to the walker as it is.
+Every orbit path runs one function, _orbit_walk(group, step, keys): the
+walker with the group's table and, as its hook, an optional per-path step
+(the census's crossing count and strict flag), which sees each chord the
+orderly test keeps. The walk yields each orbit minimum as (partner,
+stabilizer, state), and keys maps that stream to the keys counted over
+all minima. orbit_count counts minima by stabilizer size and
+representatives keeps each minimum's partner array, both through C
+callables (no Python frame per minimum); the census keys each minimum
+with _census_key and weights each key by its orbit size.
 
 The census (_dihedral_census) is one walk of the D_2n orbit minima whose
 step carries the crossing count and whether every chord so far is strict,
@@ -77,9 +86,11 @@ from __future__ import annotations
 
 import os
 from collections import Counter
+from itertools import starmap
+from operator import itemgetter
 from typing import TYPE_CHECKING
 
-from .diagrams import ChordDiagram, _walk
+from .diagrams import ChordDiagram, _ElementArrays, _position0_table, _walk
 from .errors import DomainError, Record, ResourceLimitError, exact_div
 from .groups import GroupElement, PermGroup, make_standard_group
 
@@ -89,10 +100,6 @@ if TYPE_CHECKING:
 DEFAULT_CAP = 8
 HARD_CAP = 9
 CAP_ENV_VAR = "CHORDDIA_ORACLE_CAP"
-
-# (images, inverse-images) per element, the form the hot loops consume
-_ElementArrays = tuple[tuple[int, ...], tuple[int, ...]]
-
 
 class OrbitSummary(Record):
     __slots__ = ("n", "group_order", "orbit_count", "orbit_size_histogram")
@@ -140,91 +147,6 @@ def _element_arrays(group: PermGroup) -> list[_ElementArrays]:
     return out
 
 
-# table[a][b]: (least image, elements reaching it) or None; see _position0_table
-_Table = list[list[tuple[int, list] | None]]
-
-
-def _position0_table(size: int, elems: list[_ElementArrays]) -> _Table | None:
-    """Position-0 table of the orbit walk, or None for the trivial group.
-
-    Element g compares g.p with p at position 0 exactly when the chord
-    {a, b} with g(a) = 0 is placed, and g.p[0] = g(b) then. So
-    table[a][b] (and table[b][a], the same entry) holds the least g(b)
-    over the elements with g(a) = 0 or g(b) = 0 (with a and b swapped),
-    and the elements that reach it, each as (images, inverse, 0).
-    """
-    if not elems:
-        return None
-    table: _Table = [[None] * size for _ in range(size)]
-    for img, inv in elems:
-        a = inv[0]
-        row = table[a]
-        for b in range(size):
-            if b == a:
-                continue
-            image = img[b]
-            entry = row[b]
-            if entry is None or image < entry[0]:
-                entry = row[b] = table[b][a] = (image, [])
-            if image == entry[0]:
-                entry[1].append((img, inv, 0))
-    return table
-
-
-def _orderly_advance(partner, v, w, tied):
-    """Advance the comparison of g.p with p for each element in tied,
-    dropping those whose image is larger and returning None once one is
-    smaller.
-
-    tied holds (images, inverse, r) with g.p and p equal below position r;
-    the comparison waits at r until p[r] and p[inverse[r]] are placed.
-    """
-    size = len(partner)
-    kept = []
-    for elem in tied:
-        img, inv, r = elem
-        if r != v and r != w and inv[r] != v and inv[r] != w:
-            kept.append(elem)  # neither entry that r waits for was placed
-            continue
-        while r < size:
-            a = partner[r]
-            x = partner[inv[r]]
-            if a < 0 or x < 0:
-                kept.append((img, inv, r))
-                break
-            b = img[x]
-            if b != a:
-                if b < a:
-                    return None
-                break
-            r += 1
-        else:
-            kept.append((img, inv, r))
-    return kept
-
-
-def _orderly_hook(table: _Table):
-    """Walker hook of the orbit paths over one position-0 table. Its state
-    is the list of elements past position 0 that still compare equal; the
-    elements still waiting at position 0 are implicit (those whose chord
-    {g^-1(0), .} is not placed yet)."""
-
-    def place(partner, v, w, carried):
-        entry = table[v][w]
-        if entry is not None and entry[0] <= partner[0]:
-            if entry[0] < partner[0]:
-                return None  # some g.p is already smaller
-            # the elements that tie at position 0 go on (they are stored at
-            # r = 0, so the advance passes the tie and moves to position 1);
-            # the rest of those this chord settles are larger and drop out
-            return _orderly_advance(partner, v, w, carried + entry[1])
-        if not carried:
-            return carried  # nothing to compare: the state is unchanged
-        return _orderly_advance(partner, v, w, carried)
-
-    return place
-
-
 def _resolve_threads(threads: int | None) -> int:
     if threads is None:
         threads = 1
@@ -244,38 +166,30 @@ def _map_branches(worker, tasks, threads: int):
 
 
 def _walk_branch(args) -> Counter:
-    """Counter of leaf(partner, stabilizer, state) over the orbit minima
-    in the branch with point 0 joined to first."""
-    size, first, table, step, start, leaf = args
+    """Counter of the keys that keys(walk) makes of the orbit minima in
+    the branch with point 0 joined to first, the walk yielding each as
+    (partner, stabilizer, state)."""
+    size, first, table, step, start, keys = args
     if table is None:
-        # the trivial group: every matching is a minimum
-        return Counter(leaf(p, (), state) for p, state in _walk(size, first, step, start))
-    orderly = _orderly_hook(table)
-    if step is None:
-        return Counter(leaf(p, tied, None) for p, tied in _walk(size, first, orderly, []))
-
-    def place(partner, v, w, state):
-        tied = orderly(partner, v, w, state[0])
-        if tied is None:
-            return None
-        carried = step(partner, v, w, state[1])
-        return None if carried is None else (tied, carried)
-
-    return Counter(
-        leaf(p, tied, carried) for p, (tied, carried) in _walk(size, first, place, ([], start))
-    )
+        # the trivial group: every matching is a minimum, with no stabilizer
+        walk = ((p, (), state) for p, state in _walk(size, first, step, start))
+    else:
+        walk = _walk(size, first, step, start, table)
+    return Counter(keys(walk))
 
 
-def _orbit_walk(group: PermGroup, step, leaf, start=None, threads: int = 1) -> Counter:
-    """Counter of leaf(partner, stabilizer, state) over the minima of the
-    group's orbits, stabilizer being the non-identity stabilizer's
-    elements. step(partner, v, w, state), when given, runs after the
-    orderly prune on each placed chord, carrying state from start and
-    skipping the subtree where it returns None. Both step and leaf are
-    module-level functions, so that a worker pool can pickle them."""
+def _orbit_walk(group: PermGroup, step, keys, start=None, threads: int = 1) -> Counter:
+    """Counter of the keys that keys(walk) makes of the minima of the
+    group's orbits, the walk yielding each as (partner, stabilizer,
+    state), stabilizer being the non-identity stabilizer's elements.
+    step(partner, v, w, state), when given, is the walker's hook: it sees
+    each chord that the orderly test keeps (the last two after their
+    joint comparison), carrying state from start and skipping the subtree
+    where it returns None. Both step and keys are module-level functions,
+    so that a worker pool can pickle them."""
     size = group.size
     table = _position0_table(size, _element_arrays(group))
-    tasks = [(size, first, table, step, start, leaf) for first in range(1, size)]
+    tasks = [(size, first, table, step, start, keys) for first in range(1, size)]
     total: Counter = Counter()
     # the branches come back in order, so keys keep the walk's ascending order
     for counts in _map_branches(_walk_branch, tasks, threads):
@@ -283,12 +197,18 @@ def _orbit_walk(group: PermGroup, step, leaf, start=None, threads: int = 1) -> C
     return total
 
 
-def _stabilizer_size(partner, stabilizer, state) -> int:
-    return len(stabilizer)
+# each key maker maps the walk's leaves in C, with no Python frame per
+# minimum, except the census, whose key reads the stabilizer's elements
+def _stabilizer_sizes(walk):
+    return map(len, map(itemgetter(1), walk))
 
 
-def _partner_tuple(partner, stabilizer, state) -> tuple[int, ...]:
-    return tuple(partner)
+def _partner_tuples(walk):
+    return map(tuple, map(itemgetter(0), walk))
+
+
+def _census_keys(walk):
+    return starmap(_census_key, walk)
 
 
 def _census_key(partner, stabilizer, state) -> tuple[int, int, object]:
@@ -302,7 +222,7 @@ def _census_key(partner, stabilizer, state) -> tuple[int, int, object]:
     rotations = 0
     # a loop, not sum() of a generator: most minima have no stabilizer, and
     # the generator would cost one more object per leaf
-    for img, _, _ in stabilizer:
+    for img, _, _, _ in stabilizer:
         if img[1] == (img[0] + 1) % size:
             rotations += 1
     return len(stabilizer), rotations, state
@@ -320,7 +240,7 @@ def orbit_count(n: int, group: PermGroup, threads: int | None = None) -> OrbitSu
     _check_n(n)
     _check_points(n, group)
     threads = _resolve_threads(threads)
-    leaves = _orbit_walk(group, None, _stabilizer_size, threads=threads)
+    leaves = _orbit_walk(group, None, _stabilizer_sizes, threads=threads)
     return OrbitSummary(
         n=n,
         group_order=group.order,
@@ -350,7 +270,8 @@ def fixed_diagram_count(n: int, g: GroupElement) -> int:
                 return None
         return state
 
-    return sum(1 for _ in _walk(size, None, place, True))
+    # the identity fixes every matching, so its walk checks no chord
+    return sum(1 for _ in _walk(size, None, None if g.is_identity() else place, True))
 
 
 def representatives(n: int, group: PermGroup) -> list[ChordDiagram]:
@@ -358,7 +279,7 @@ def representatives(n: int, group: PermGroup) -> list[ChordDiagram]:
     _check_n(n)
     _check_points(n, group)
     # the walk ascends lexicographically, so the list comes out sorted
-    return [ChordDiagram._unchecked(p) for p in _orbit_walk(group, None, _partner_tuple)]
+    return [ChordDiagram._unchecked(p) for p in _orbit_walk(group, None, _partner_tuples)]
 
 
 def _census_step(partner, v, w, state: tuple[int, bool]) -> tuple[int, bool]:
@@ -382,7 +303,7 @@ def _dihedral_census(
     _check_n(n)
     threads = _resolve_threads(threads)
     group = make_standard_group("dihedral", 2 * n)
-    leaves = _orbit_walk(group, _census_step, _census_key, (0, True), threads)
+    leaves = _orbit_walk(group, _census_step, _census_keys, (0, True), threads)
     # a key counted c times stands for c D_2n-orbits of |D| / (1 + k)
     # diagrams each; C_2n is normal in D_2n, so the C_2n-orbits inside one
     # of them all have 1 + k_r stabilizer elements, |C| / (1 + k_r) diagrams

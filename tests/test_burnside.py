@@ -229,11 +229,11 @@ class TestWreathClassSum:
 
 
 @st.composite
-def small_groups(draw, max_points=8):
+def small_groups(draw, max_points=8, min_points=2):
     """A group closed from up to three random generators on an even number
-    of points up to max_points; closures above 2000 elements (most of S_8)
-    are rejected to keep the oracle quick."""
-    points = draw(st.sampled_from(range(2, max_points + 1, 2)))
+    of points from min_points to max_points; closures above 2000 elements
+    (most of S_8) are rejected to keep the oracle quick."""
+    points = draw(st.sampled_from(range(min_points, max_points + 1, 2)))
     images = draw(st.lists(st.permutations(range(points)), max_size=3))
     try:
         with patch.object(groups, "MAX_CLOSURE_ENTRIES", 2000 * points):

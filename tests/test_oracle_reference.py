@@ -29,7 +29,7 @@ from chorddia import (
     representatives,
     strict_count,
 )
-from chorddia import oracle
+from chorddia import diagrams, oracle
 from chorddia.diagrams import _walk, matchings
 from test_burnside import small_groups
 
@@ -163,7 +163,7 @@ class TestWalk:
 def per_element_orderly_place(partner, v, w, tied):
     """The orbit paths' hook before the position-0 table: every element
     starts tied at position 0 and is compared one by one. A copy, not
-    oracle._orderly_advance, so that a change there cannot move the
+    diagrams._orderly_advance, so that a change there cannot move the
     reference with it."""
     size = len(partner)
     kept = []
@@ -189,33 +189,35 @@ def per_element_orderly_place(partner, v, w, tied):
     return kept
 
 
-def orderly_trace(size, place, state):
-    """Leaves with their stabilizers' images, and the number of hook calls."""
-    calls = 0
-
-    def counted(partner, v, w, s):
-        nonlocal calls
-        calls += 1
-        return place(partner, v, w, s)
-
-    leaves = [
-        (tuple(p), sorted(img for img, _, _ in stabilizer))
-        for p, stabilizer in _walk(size, None, counted, state)
+def reference_minima(size, elems):
+    """Each orbit minimum with its stabilizer's images, from the per-element
+    hook on the plain walk."""
+    start = [(img, inv, 0) for img, inv in elems]
+    return [
+        (tuple(p), sorted(elem[0] for elem in stabilizer))
+        for p, stabilizer in _walk(size, None, per_element_orderly_place, start)
     ]
-    return leaves, calls
+
+
+def table_minima(size, first, table):
+    return [
+        (tuple(p), sorted(elem[0] for elem in stabilizer))
+        for p, stabilizer, _ in _walk(size, first, None, None, table)
+    ]
 
 
 def check_same_decisions(group):
     size = group.size
     elems = oracle._element_arrays(group)
-    table = oracle._position0_table(size, elems)
+    table = diagrams._position0_table(size, elems)
     if table is None:
         assert elems == []
         return
-    expected = orderly_trace(
-        size, per_element_orderly_place, [(img, inv, 0) for img, inv in elems]
-    )
-    assert orderly_trace(size, oracle._orderly_hook(table), []) == expected
+    expected = reference_minima(size, elems)
+    assert table_minima(size, None, table) == expected
+    # the branches that the oracle walks one by one partition the walk
+    branches = [leaf for first in range(1, size) for leaf in table_minima(size, first, table)]
+    assert branches == expected
 
 
 class TestPositionZeroTable:
@@ -226,7 +228,7 @@ class TestPositionZeroTable:
 
     def test_trivial_group_has_no_table(self):
         group = make_standard_group("identity", 8)
-        assert oracle._position0_table(8, oracle._element_arrays(group)) is None
+        assert diagrams._position0_table(8, oracle._element_arrays(group)) is None
 
     def test_entries(self):
         # on 4 points the rotation g = (0 1 2 3) maps 3 to 0; of the chords
@@ -234,15 +236,28 @@ class TestPositionZeroTable:
         g = make_standard_group("cyclic", 4).elements[1]
         img, inv = g.images, g.inverse().images
         assert img == (1, 2, 3, 0)
-        table = oracle._position0_table(4, [(img, inv)])
+        table = diagrams._position0_table(4, [(img, inv)])
         assert [table[3][b][0] for b in range(3)] == [1, 2, 3]
         assert table[0][3] is table[3][0]
         assert table[0][1] is None and table[1][2] is None
-        assert table[3][1][1] == [(img, inv, 0)]
+        # stored ready for position 1, with the points each position needs
+        needs = (1 | 1 << 3, 2 | 1, 4 | 2, 8 | 4, 0)
+        assert table[3][1][1] == [(img, inv, needs, 1)]
+
+    def test_settle_compares_each_entry_with_p0(self):
+        g = make_standard_group("cyclic", 4).elements[1]
+        img, inv = g.images, g.inverse().images
+        table = diagrams._position0_table(4, [(img, inv)])
+        # p[0] = 2: the chord {3, 0} maps p[0] to 1 < 2, {3, 1} ties at 2,
+        # {3, 2} maps it to 3 > 2, and no element settles {1, 2}
+        settle = diagrams._position0_settle(table, 2)
+        assert settle[3][0] == [] and settle[0][3] == []
+        assert settle[3][1] == table[3][1][1]
+        assert settle[3][2] is None and settle[1][2] is None
 
 
 @settings(max_examples=60, deadline=None)
-@given(small_groups())
+@given(small_groups(min_points=4, max_points=10))
 def test_position_zero_table_on_random_groups(group):
     check_same_decisions(group)
 

@@ -9,12 +9,13 @@ yield the same leaves in the same order, with the same states, after the
 same sequence of hook calls, each seeing the same partial matching.
 """
 
+from collections import Counter
 from itertools import starmap, zip_longest
 from operator import eq
 
 import pytest
 
-from chorddia import DomainError, make_standard_group, oracle
+from chorddia import DomainError, diagrams, make_standard_group, oracle
 from chorddia.diagrams import _walk
 
 
@@ -189,11 +190,26 @@ def test_rejecting_hooks_reject_something(size):
         assert 0 < sum(1 for _ in _walk(size, None, place, 0)) < full
 
 
-def test_orbit_walk_counts_at_d16():
-    # the orderly hook on D_16: every chord placed, the inline two included
+def test_orbit_walk_counts_at_d16(monkeypatch):
+    # the orderly test on D_16, made by the walker from the group's table:
+    # one leaf per orbit, and the comparisons past position 0 that it
+    # makes, while a counting hook sees each chord that the test keeps
     group = make_standard_group("dihedral", 16)
-    table = oracle._position0_table(16, oracle._element_arrays(group))
-    assert lockstep(16, None, oracle._orderly_hook(table), []) == (65346, 410928)
+    table = diagrams._position0_table(16, oracle._element_arrays(group))
+    calls = Counter()
+    for name in ("_orderly_advance", "_orderly_finish"):
+        def counted(*args, name=name, compare=getattr(diagrams, name)):
+            calls[name] += 1
+            return compare(*args)
+
+        monkeypatch.setattr(diagrams, name, counted)
+
+    def hook(partner, v, w, state):
+        calls["hook"] += 1
+        return state
+
+    assert sum(1 for _ in _walk(16, None, hook, 0, table)) == 65346
+    assert calls == {"_orderly_advance": 27125, "_orderly_finish": 103589, "hook": 208172}
 
 
 def _double_factorial(m):
