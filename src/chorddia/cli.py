@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError, ResourceLimitError, _is_int
 
 if TYPE_CHECKING:
     from .groups import PermGroup
@@ -51,10 +51,6 @@ def _threads(text: str) -> int:
     if threads < 1:
         raise argparse.ArgumentTypeError("threads must be >= 1")
     return threads
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _group_file_int(text: str) -> int:

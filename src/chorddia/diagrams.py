@@ -8,9 +8,10 @@ order of the points.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Callable, Iterator, Sequence
 
-from .errors import DomainError, Record
+from .errors import DomainError, Record, _is_int
 from .groups import GroupElement, PermGroup
 
 
@@ -23,6 +24,8 @@ class ChordDiagram(Record):
 
     def _check(self):
         partner = self.partner
+        if not {int}.issuperset(map(type, partner)):
+            raise DomainError("partner array entries must be ints")
         n2 = len(partner)
         if n2 % 2:
             raise DomainError("diagram needs an even number of points")
@@ -71,11 +74,13 @@ class ChordDiagram(Record):
     @classmethod
     def from_json_dict(cls, obj: dict) -> "ChordDiagram":
         try:
-            n = int(obj["n"])
-            chords = [(int(a) - 1, int(b) - 1) for a, b in obj["chords"]]
+            n = obj["n"]
+            chords = [(a, b) for a, b in obj["chords"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise DomainError(f"malformed chord list object: {exc}") from exc
-        return cls.from_chords(chords, size=2 * n)
+        if not _is_int(n) or n < 0 or not all(_is_int(v) for chord in chords for v in chord):
+            raise DomainError("chord list object needs an int n >= 0 and int endpoints")
+        return cls.from_chords([(a - 1, b - 1) for a, b in chords], size=2 * n)
 
     def __str__(self):
         return " ".join(f"({a + 1},{b + 1})" for a, b in self.chords())
@@ -240,26 +245,27 @@ def _walk(
     """Depth-first walk over the perfect matchings of [0, size), carrying
     state from each partial matching down to its extensions.
 
-    Yields (partner, state) at each complete matching, in the order of
-    matchings(). After chord (v, w) is written into partner (v is the
-    smallest unmatched point, w > v), place(partner, v, w, state) returns
-    the state of that subtree, or None to skip the subtree. With first
-    given, only the matchings with chord (0, first) are walked.
-    place=None keeps state unchanged and skips nothing. Chords are placed
-    in ascending order of their smaller endpoint, so when (v, w) is placed
-    every point below v is matched.
+    Yields (partner, stabilizer, state) at each complete matching, in the
+    order of matchings(); both lists are the walk's own, not to be
+    mutated, and partner changes between yields. After chord (v, w) is
+    written into partner (v is the smallest unmatched point, w > v),
+    place(partner, v, w, state) returns the state of that subtree, or
+    None to skip the subtree. With first given, only the matchings with
+    chord (0, first) are walked. place=None keeps state unchanged and
+    skips nothing. Chords are placed in ascending order of their smaller
+    endpoint, so when (v, w) is placed every point below v is matched.
 
-    With a position-0 table (_position0_table) the walk keeps only the
-    matchings that are the least in their orbit under the table's group
-    (the orderly test of the oracle module's docstring) and yields
-    (partner, stabilizer, state), stabilizer being the non-identity
-    elements that fix the matching, each as (images, inverse, needs,
-    size). The root chord fixes p[0], and with it _position0_settle for
-    the whole walk below it. Each chord is looked up there before it is
-    written, and dropped when some g.p is already smaller; the elements
-    that tie join those compared past position 0, and _orderly_advance
-    runs only when one of those needs a point that the chord places.
-    Only then does place see the chord.
+    With no table the stabilizer is always the same empty list. With a
+    position-0 table (_position0_table) the walk keeps only the matchings
+    that are the least in their orbit under the table's group (the
+    orderly test of the oracle module's docstring), and the stabilizer is
+    the non-identity elements that fix the matching, each as (images,
+    inverse, needs, size). The root chord fixes p[0], and with it
+    _position0_settle for the whole walk below it. Each chord is looked
+    up there before it is written, and dropped when some g.p is already
+    smaller; the elements that tie join those compared past position 0,
+    and _orderly_advance runs only when one of those needs a point that
+    the chord places. Only then does place see the chord.
 
     The last two chords have no level of their own: once four points
     a < b < c < d are left, a is joined to b, c and d in turn, and the
@@ -272,8 +278,9 @@ def _walk(
     if first is not None and not 1 <= first < size:
         raise DomainError("first_partner must be in [1, size)")
     partner = [-1] * size
+    tied: list[_Tied] = []  # with no table, every leaf's stabilizer
     if not size:
-        yield partner, state
+        yield partner, tied, state
         return
     # the root level joins point 0 to each point below end in turn
     root_end = end = size if first is None else first + 1
@@ -287,7 +294,6 @@ def _walk(
     # the elements compared past position 0 and the points they wait for
     stack: list[tuple[int, int, object, list[_Tied], int]] = []
     depth = 0
-    tied: list[_Tied] = []
     waits = 0
     child_tied, child_waits = tied, waits
     while True:
@@ -335,7 +341,7 @@ def _walk(
                 continue
         if depth != tail_depth:
             if depth == last_depth:
-                yield (partner, child) if table is None else (partner, child_tied, child)
+                yield partner, child_tied, child
                 partner[w] = -1
                 continue
             stack.append((v, w, state, tied, waits))
@@ -362,11 +368,11 @@ def _walk(
         if place is None and table is None:
             # {a, b} {c, d}, then {a, c} {b, d}, then {a, d} {b, c}
             partner[a], partner[b], partner[c], partner[d] = b, a, d, c
-            yield partner, child
+            yield partner, child_tied, child
             partner[a], partner[b], partner[c], partner[d] = c, d, a, b
-            yield partner, child
+            yield partner, child_tied, child
             partner[a], partner[b], partner[c], partner[d] = d, c, b, a
-            yield partner, child
+            yield partner, child_tied, child
             partner[a] = partner[b] = partner[c] = partner[d] = partner[w] = -1
             continue
         for x, y, z in ((b, c, d), (c, b, d), (d, b, c)):
@@ -402,7 +408,7 @@ def _walk(
                 last = place(partner, y, z, last)
                 if last is None:
                     continue
-            yield (partner, last) if table is None else (partner, last_tied, last)
+            yield partner, last_tied, last
         partner[a] = partner[b] = partner[c] = partner[d] = partner[w] = -1
 
 
@@ -418,8 +424,7 @@ def matchings(size: int, first_partner: int | None = None) -> Iterator[list[int]
     partner[0] == first_partner; the size-1 possible prefixes partition the
     full stream into independent sub-streams.
     """
-    for partner, _ in _walk(size, first_partner, None, None):
-        yield partner
+    return map(itemgetter(0), _walk(size, first_partner, None, None))
 
 
 def all_diagrams(n: int, first_partner: int | None = None) -> Iterator[ChordDiagram]:

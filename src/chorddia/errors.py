@@ -1,5 +1,5 @@
-"""Exception types and the base of the value types, shared across the
-package."""
+"""Exception types, the base of the value types and the integer test of
+parsed input, shared across the package."""
 
 
 class DomainError(ValueError):
@@ -17,6 +17,12 @@ class ConsistencyError(RuntimeError):
     nonzero remainder therefore signals an implementation bug, never bad
     input.
     """
+
+
+def _is_int(value) -> bool:
+    """True for an int parsed from input, False for a bool (which Python
+    counts as an int) and for any other type."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def exact_div(numerator: int, denominator: int, context: str) -> int:

@@ -76,6 +76,8 @@ class GroupElement(Record):
 
     def _check(self):
         images = self.images
+        if not {int}.issuperset(map(type, images)):
+            raise DomainError("images must be ints")
         if sorted(images) != list(range(len(images))):
             raise DomainError("images must be a bijection on [0, size)")
 

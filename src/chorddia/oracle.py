@@ -57,10 +57,12 @@ walker with the group's table and, as its hook, an optional per-path step
 (the census's crossing count and strict flag), which sees each chord the
 orderly test keeps. The walk yields each orbit minimum as (partner,
 stabilizer, state), and keys maps that stream to the keys counted over
-all minima. orbit_count counts minima by stabilizer size and
-representatives keeps each minimum's partner array, both through C
-callables (no Python frame per minimum); the census keys each minimum
-with _census_key and weights each key by its orbit size.
+all minima. The trivial group has no table: its walk yields every
+matching, in the same shape, with an empty stabilizer. orbit_count
+counts minima by stabilizer size and representatives keeps each
+minimum's partner array, both through C callables (no Python frame per
+minimum); the census keys each minimum with _census_key and weights
+each key by its orbit size.
 
 The census (_dihedral_census) is one walk of the D_2n orbit minima whose
 step carries the crossing count and whether every chord so far is strict,
@@ -168,14 +170,10 @@ def _map_branches(worker, tasks, threads: int):
 def _walk_branch(args) -> Counter:
     """Counter of the keys that keys(walk) makes of the orbit minima in
     the branch with point 0 joined to first, the walk yielding each as
-    (partner, stabilizer, state)."""
+    (partner, stabilizer, state); with table None (the trivial group)
+    every matching is a minimum, with an empty stabilizer."""
     size, first, table, step, start, keys = args
-    if table is None:
-        # the trivial group: every matching is a minimum, with no stabilizer
-        walk = ((p, (), state) for p, state in _walk(size, first, step, start))
-    else:
-        walk = _walk(size, first, step, start, table)
-    return Counter(keys(walk))
+    return Counter(keys(_walk(size, first, step, start, table)))
 
 
 def _orbit_walk(group: PermGroup, step, keys, start=None, threads: int = 1) -> Counter:

@@ -62,6 +62,22 @@ class TestChordDiagram:
         with pytest.raises(DomainError):
             ChordDiagram.from_json_dict({"n": 2})
 
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"n": 2.7, "chords": [[1, 2], [3, 4]]},
+            {"n": True, "chords": [[1.9, 2]]},
+            {"n": "2", "chords": [["1", "2"], [3, 4]]},
+            {"n": 2, "chords": [[1, 2], [3.0, 4]]},
+            {"n": 1, "chords": [[True, 2]]},
+            {"n": -1, "chords": []},
+        ],
+    )
+    def test_json_refuses_what_is_not_an_int(self, obj):
+        # n and every endpoint must be an int (not a bool), never coerced
+        with pytest.raises(DomainError):
+            ChordDiagram.from_json_dict(obj)
+
 
 class TestApplySymmetry:
     def test_identity(self):

@@ -34,6 +34,14 @@ from chorddia.diagrams import _walk, matchings
 from test_burnside import small_groups
 
 
+def plain(walk):
+    """The (partner, state) leaves of a walk with no table, reading each
+    leaf as (partner, stabilizer, state): its stabilizer is empty."""
+    for p, stabilizer, state in walk:
+        assert stabilizer == []
+        yield p, state
+
+
 def _prefixes(size):
     """Every nonempty partial matching the walk reaches, as chord lists."""
     out = []
@@ -76,7 +84,7 @@ def check_group(n, group):
 class TestWalk:
     def test_no_hook_is_matchings(self):
         for size in (0, 2, 4, 6, 8):
-            walked = [list(p) for p, state in _walk(size, None, None, "s")]
+            walked = [list(p) for p, state in plain(_walk(size, None, None, "s"))]
             assert walked == [list(p) for p in matchings(size)]
 
     def test_hook_sees_every_chord_in_order(self):
@@ -86,14 +94,14 @@ class TestWalk:
             assert all(partner[u] >= 0 for u in range(v))
             return chords + ((v, w),)
 
-        for partner, chords in _walk(8, None, place, ()):
+        for partner, chords in plain(_walk(8, None, place, ())):
             assert list(chords) == [(v, w) for v, w in enumerate(partner) if v < w]
 
     def test_pruned_subtrees_are_skipped(self):
         def place(partner, v, w, state):
             return None if w - v == 3 else state
 
-        walked = [tuple(p) for p, _ in _walk(8, None, place, 0)]
+        walked = [tuple(p) for p, _ in plain(_walk(8, None, place, 0))]
         expected = [
             tuple(p) for p in matchings(8) if all(abs(v - w) != 3 for v, w in enumerate(p))
         ]
@@ -101,13 +109,20 @@ class TestWalk:
 
     def test_first_chord_goes_through_the_hook(self):
         assert list(_walk(6, 2, lambda partner, v, w, s: None, 0)) == []
-        branch = [tuple(p) for p, _ in _walk(6, 2, lambda partner, v, w, s: s, 0)]
+        branch = [tuple(p) for p, _ in plain(_walk(6, 2, lambda partner, v, w, s: s, 0))]
         assert branch == [tuple(p) for p in matchings(6, 2)]
 
     @pytest.mark.parametrize("size,first", [(5, None), (6, 0), (6, 6)])
     def test_matchings_errors(self, size, first):
         with pytest.raises(DomainError):
             list(matchings(size, first))
+
+    @pytest.mark.parametrize("size,first", [(3, None), (4, 9)])
+    def test_matchings_errors_at_the_first_next(self, size, first):
+        # the stream is lazy: the call itself checks nothing
+        stream = matchings(size, first)
+        with pytest.raises(DomainError):
+            next(stream)
 
     @staticmethod
     def recording(chords):
@@ -120,7 +135,9 @@ class TestWalk:
     def test_size_two(self):
         for first in (None, 1):
             chords = []
-            walked = [(list(p), s) for p, s in _walk(2, first, self.recording(chords), "s")]
+            walked = [
+                (list(p), s) for p, s in plain(_walk(2, first, self.recording(chords), "s"))
+            ]
             assert walked == [([1, 0], "s")]
             assert chords == [(0, 1)]
 
@@ -128,7 +145,7 @@ class TestWalk:
     def test_size_four_root_chord_leaves_two(self, first):
         # the chord (0, first) leaves two points, so one level places the last
         chords = []
-        walked = [tuple(p) for p, _ in _walk(4, first, self.recording(chords), 0)]
+        walked = [tuple(p) for p, _ in plain(_walk(4, first, self.recording(chords), 0))]
         assert walked == [tuple(p) for p in matchings(4, first)]
         assert len(walked) == 1
         rest = [u for u in range(1, 4) if u != first]
@@ -138,9 +155,9 @@ class TestWalk:
     def test_no_hook_and_none_state_still_yields(self, size):
         # matchings() walks with place=None and state None; a forced last
         # chord must not read that None as a skipped subtree
-        walked = [(tuple(p), s) for p, s in _walk(size, None, None, None)]
+        walked = [(tuple(p), s) for p, s in plain(_walk(size, None, None, None))]
         assert len(walked) == math.prod(range(1, size, 2))
-        assert walked == [(tuple(p), None) for p, _ in _walk(size, None, None, "s")]
+        assert walked == [(tuple(p), None) for p, _ in plain(_walk(size, None, None, "s"))]
 
     @pytest.mark.parametrize("size", [4, 6, 8])
     def test_forced_chord_goes_through_the_hook(self, size):
@@ -195,7 +212,7 @@ def reference_minima(size, elems):
     start = [(img, inv, 0) for img, inv in elems]
     return [
         (tuple(p), sorted(elem[0] for elem in stabilizer))
-        for p, stabilizer in _walk(size, None, per_element_orderly_place, start)
+        for p, stabilizer in plain(_walk(size, None, per_element_orderly_place, start))
     ]
 
 
@@ -218,6 +235,22 @@ def check_same_decisions(group):
     # the branches that the oracle walks one by one partition the walk
     branches = [leaf for first in range(1, size) for leaf in table_minima(size, first, table)]
     assert branches == expected
+
+
+@pytest.mark.parametrize("size", range(2, 13, 2))
+def test_trivial_group_branch_walks_every_matching(size):
+    # the trivial group has no table, and its branches walk as any group's
+    # do: every matching is a minimum, each with an empty stabilizer
+    group = make_standard_group("identity", size)
+    table = diagrams._position0_table(size, oracle._element_arrays(group))
+    assert table is None
+    for first in range(1, size):
+        def branch(keys):
+            return oracle._walk_branch((size, first, table, None, None, keys))
+
+        partners = branch(oracle._partner_tuples)
+        assert list(partners.items()) == [(tuple(p), 1) for p in matchings(size, first)]
+        assert branch(oracle._stabilizer_sizes) == {0: len(partners)}
 
 
 class TestPositionZeroTable:
@@ -300,7 +333,7 @@ def _crossing_place(partner, v, w, crossings):
 def full_walk_crossings(n):
     """Crossing histogram counting every matching once, with no orbits."""
     counts = [0] * (n * (n - 1) // 2 + 1)
-    for _, k in _walk(2 * n, None, _crossing_place, 0):
+    for _, k in plain(_walk(2 * n, None, _crossing_place, 0)):
         counts[k] += 1
     return tuple(counts)
 

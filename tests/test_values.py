@@ -121,9 +121,16 @@ def test_pickle_round_trip(cls, fields, text):
         lambda: ChordDiagram(partner=(1, 0, 2)),
         lambda: ChordDiagram((1, 0, 2, 3)),
         lambda: ChordDiagram((2, 3, 0, 1, 5, 5)),
+        # an entry whose type is not exactly int, a bool included
+        lambda: GroupElement((1.0, 0)),
+        lambda: GroupElement((True, False)),
+        lambda: GroupElement(("a", 0)),
+        lambda: ChordDiagram((1.0, 0)),
+        lambda: ChordDiagram((True, False)),
     ],
     ids=["ct-unsorted", "ct-zero", "ct-duplicate", "ge-repeat", "ge-range",
-         "cd-odd", "cd-fixed-point", "cd-not-involution"],
+         "cd-odd", "cd-fixed-point", "cd-not-involution", "ge-float", "ge-bool",
+         "ge-str", "cd-float", "cd-bool"],
 )
 def test_invalid_input_is_domain_error(build):
     with pytest.raises(DomainError):

@@ -6,12 +6,14 @@ to diagrams._walk cannot move the reference with it: its level loop
 placed every chord but the last, and only the chord forced by the two
 points left was placed inline. Both walkers are run in lockstep and must
 yield the same leaves in the same order, with the same states, after the
-same sequence of hook calls, each seeing the same partial matching.
+same sequence of hook calls, each seeing the same partial matching. The
+walker yields (partner, stabilizer, state) and the reference (partner,
+state); with no position-0 table the stabilizer must be empty.
 """
 
 from collections import Counter
-from itertools import starmap, zip_longest
-from operator import eq
+from itertools import repeat, starmap, zip_longest
+from operator import add, eq, itemgetter
 
 import pytest
 
@@ -105,13 +107,19 @@ def lockstep(size, first, place, state):
     )
     leaves = hook_calls = 0
     if place is None:
-        # no calls to record, so compare the leaves in C: 2 million at 16 points
-        same = list(starmap(eq, zip_longest(*walks)))
+        # no calls to record, so compare the leaves in C: 2 million at 16
+        # points, each new one read as (partner, state, stabilizer) against
+        # the old one and an empty stabilizer
+        new, old = walks
+        same = list(starmap(eq, zip_longest(
+            map(itemgetter(0, 2, 1), new), map(add, old, repeat(([],)))
+        )))
         assert all(same)
         return len(same), 0
     for new, old in zip_longest(*walks):
         assert new is not None and old is not None, "one walk yields more leaves"
-        assert new[0] == old[0] and new[1] == old[1]
+        partner, stabilizer, state = new
+        assert partner == old[0] and state == old[1] and stabilizer == []
         assert calls[0] == calls[1]
         leaves += 1
         hook_calls += len(calls[0])
