@@ -1,15 +1,18 @@
 """Command-line front end.
 
 Subcommands: count, table, enumerate, crossings, strict, verify.
-Exit codes: 0 success, 1 verification failure, 2 usage or domain error,
-3 resource-cap error.
+Exit codes: 0 success, 1 verification failure or stdout closed by its
+reader, 2 usage or domain error, 3 resource-cap error.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
+from itertools import islice
+from operator import getitem
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -146,6 +149,28 @@ def _write_json(payload) -> None:
     sys.stdout.write("\n")
 
 
+# Lines that _write_jsonl joins into one write: one system call per chunk
+# where stdout is unbuffered, and 377 kB of text at n = 8.
+JSONL_CHUNK = 4096
+
+
+def _write_jsonl(n: int, partners) -> None:
+    """One line per partner array, json.dumps(ChordDiagram(p).to_json_dict())
+    and a newline, written in chunks of JSONL_CHUNK lines. partners may be
+    the walk's own arrays: each line is made before the next is asked for."""
+    size = 2 * n
+    # cell[v][w]: the text of chord (v, w) from its smaller endpoint, so a
+    # line is the non-empty cells of (v, p[v]) in the order of v
+    cell = [[f"[{v + 1}, {w + 1}]" if v < w else "" for w in range(size)]
+            for v in range(size)]
+    head = f'{{"n": {n}, "chords": ['
+    lines = (f"{head}{', '.join(filter(None, map(getitem, cell, p)))}]}}\n"
+             for p in partners)
+    write = sys.stdout.write
+    while chunk := "".join(islice(lines, JSONL_CHUNK)):
+        write(chunk)
+
+
 # ---------------------------------------------------------------- count
 
 # the closed forms' big products and their decimal output grow as about n^2,
@@ -220,11 +245,13 @@ def _cmd_table(args) -> int:
 
 # ---------------------------------------------------------------- enumerate
 
-# The listing is held whole before its first line is written, at about
-# 300 bytes per class. On a 2-vCPU machine the longest listing under the
+# The JSON lines stream from the walk, so a listing holds one chunk of
+# lines at a time. On a 2-vCPU machine the longest listing under the
 # default oracle cap, `enumerate --n 8 --group identity` (2,027,025
-# classes), takes 15-23 s and peaks at 559 MB RSS; the longest under the
-# hard cap, `--n 9 --group cyclic` (1,915,951), 17 s and 575 MB.
+# classes, 186 MB of text), takes 5.3 s and peaks at 20 MB RSS; the longest
+# under the hard cap, `--n 9 --group cyclic` (1,915,951), 5.3 s and 20 MB.
+# The next listing, the identity group at n = 9, has 34,459,425 classes
+# (3.5 GB of text); --format svg-dir still holds every class.
 MAX_ENUMERATE_CLASSES = 2027025
 
 
@@ -250,14 +277,12 @@ def _cmd_enumerate(args) -> int:
         )
     if not args.group_file:
         group = _resolve_group(args, n)
-    reps = oracle.representatives(n, group)
     if args.format == "jsonl":
-        from .diagrams import _json_line
-
-        sys.stdout.writelines(_json_line(d.partner) for d in reps)
+        _write_jsonl(n, oracle._minima(group))
         return 0
     from .svg import render_svg
 
+    reps = oracle.representatives(n, group)
     out_dir = Path(args.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -509,4 +534,13 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early (`chorddia enumerate ... | head`):
+        # point stdout at /dev/null so that the flush at exit cannot raise
+        # again, and end as a failed write would
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)

@@ -47,8 +47,12 @@ class ChordDiagram(Record):
         """Build from 0-based endpoint pairs."""
         if size is None:
             size = 2 * len(chords)
+        elif not _is_int(size) or size < 0:
+            raise DomainError(f"size must be an int >= 0, got {size!r}")
         partner = [-1] * size
         for a, b in chords:
+            if not (_is_int(a) and _is_int(b)):
+                raise DomainError(f"chord ({a!r}, {b!r}) needs int endpoints")
             if not (0 <= a < size and 0 <= b < size) or partner[a] != -1 or partner[b] != -1:
                 raise DomainError(f"bad chord ({a}, {b})")
             partner[a] = b
@@ -84,13 +88,6 @@ class ChordDiagram(Record):
 
     def __str__(self):
         return " ".join(f"({a + 1},{b + 1})" for a, b in self.chords())
-
-
-def _json_line(partner: tuple[int, ...]) -> str:
-    """json.dumps(ChordDiagram(partner).to_json_dict()) and a newline,
-    written straight from the partner array."""
-    chords = ", ".join([f"[{v + 1}, {w + 1}]" for v, w in enumerate(partner) if v < w])
-    return f'{{"n": {len(partner) // 2}, "chords": [{chords}]}}\n'
 
 
 def apply_symmetry(g: GroupElement, diagram: ChordDiagram) -> ChordDiagram:

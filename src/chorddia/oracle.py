@@ -59,10 +59,12 @@ orderly test keeps. The walk yields each orbit minimum as (partner,
 stabilizer, state), and keys maps that stream to the keys counted over
 all minima. The trivial group has no table: its walk yields every
 matching, in the same shape, with an empty stabilizer. orbit_count
-counts minima by stabilizer size and representatives keeps each
-minimum's partner array, both through C callables (no Python frame per
-minimum); the census keys each minimum with _census_key and weights
-each key by its orbit size.
+counts minima by stabilizer size through C callables (no Python frame
+per minimum); the census keys each minimum with _census_key and weights
+each key by its orbit size. A listing needs the minima themselves, in
+order and one at a time, so _minima streams their partner arrays from
+one serial walk, with no Counter: representatives copies each one, and
+enumerate writes each one's line as it comes.
 
 The census (_dihedral_census) is one walk of the D_2n orbit minima whose
 step carries the crossing count and whether every chord so far is strict,
@@ -79,9 +81,9 @@ Every such division is asserted exact. crossing_distribution returns the
 census's crossing histogram, strict_count its strict count, and verify
 reads all five for each n up to its oracle bound.
 
-The walk is split into the 2n-1 independent branches fixed by the partner
-of point 0. Each branch returns its Counter of keys and the Counters add
-up, so multi-process runs are deterministic.
+A counting walk is split into the 2n-1 independent branches fixed by the
+partner of point 0. Each branch returns its Counter of keys and the
+Counters add up, so multi-process runs are deterministic.
 """
 
 from __future__ import annotations
@@ -90,7 +92,7 @@ import os
 from collections import Counter
 from itertools import starmap
 from operator import itemgetter
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 from .diagrams import ChordDiagram, _ElementArrays, _position0_table, _walk
 from .errors import DomainError, Record, ResourceLimitError, exact_div
@@ -189,7 +191,6 @@ def _orbit_walk(group: PermGroup, step, keys, start=None, threads: int = 1) -> C
     table = _position0_table(size, _element_arrays(group))
     tasks = [(size, first, table, step, start, keys) for first in range(1, size)]
     total: Counter = Counter()
-    # the branches come back in order, so keys keep the walk's ascending order
     for counts in _map_branches(_walk_branch, tasks, threads):
         total.update(counts)
     return total
@@ -199,10 +200,6 @@ def _orbit_walk(group: PermGroup, step, keys, start=None, threads: int = 1) -> C
 # minimum, except the census, whose key reads the stabilizer's elements
 def _stabilizer_sizes(walk):
     return map(len, map(itemgetter(1), walk))
-
-
-def _partner_tuples(walk):
-    return map(tuple, map(itemgetter(0), walk))
 
 
 def _census_keys(walk):
@@ -272,12 +269,22 @@ def fixed_diagram_count(n: int, g: GroupElement) -> int:
     return sum(1 for _ in _walk(size, None, None if g.is_identity() else place, True))
 
 
+def _minima(group: PermGroup) -> Iterator[list[int]]:
+    """The partner array of each minimum of the group's orbits, in
+    ascending order, from one serial walk. Each array is the walk's own
+    list, changed after the next one is asked for, so a caller that keeps
+    one copies it."""
+    size = group.size
+    table = _position0_table(size, _element_arrays(group))
+    return map(itemgetter(0), _walk(size, None, None, None, table))
+
+
 def representatives(n: int, group: PermGroup) -> list[ChordDiagram]:
     """One canonical representative per orbit, sorted by partner array."""
     _check_n(n)
     _check_points(n, group)
     # the walk ascends lexicographically, so the list comes out sorted
-    return [ChordDiagram._unchecked(p) for p in _orbit_walk(group, None, _partner_tuples)]
+    return [ChordDiagram._unchecked(tuple(p)) for p in _minima(group)]
 
 
 def _census_step(partner, v, w, state: tuple[int, bool]) -> tuple[int, bool]:

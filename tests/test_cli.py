@@ -489,7 +489,7 @@ class TestEnumerate:
         def refuse(*args, **kwargs):
             raise AssertionError("walked or built before --out was checked")
 
-        monkeypatch.setattr(oracle, "representatives", refuse)
+        monkeypatch.setattr(oracle, "_minima", refuse)
         monkeypatch.setattr(cli, "_resolve_group", refuse)
         assert run(["enumerate", "--n", "8", "--format", "svg-dir"]) == 2
         captured = capsys.readouterr()
@@ -518,15 +518,20 @@ class TestEnumerate:
         def refuse(*args, **kwargs):
             raise AssertionError("walked or built past the class bound")
 
-        monkeypatch.setattr(oracle, "representatives", refuse)
+        # both formats walk through oracle._minima
+        monkeypatch.setattr(oracle, "_minima", refuse)
         monkeypatch.setattr(cli, "MAX_ENUMERATE_CLASSES", 10)
         assert run(["enumerate", "--n", "3", "--group-file", str(path)]) == 3
         assert "enumerate capped at 10 classes, got 11" in capsys.readouterr().err
         monkeypatch.setattr(cli, "_resolve_group", refuse)
         for kind, classes in (("identity", 15), ("cyclic", 5), ("dihedral", 5)):
             monkeypatch.setattr(cli, "MAX_ENUMERATE_CLASSES", classes - 1)
-            argv = ["enumerate", "--n", "3", "--group", kind, "--format", "svg-dir"]
-            assert run([*argv, "--out", str(tmp_path / kind)]) == 3
+            argv = ["enumerate", "--n", "3", "--group", kind]
+            assert run(argv) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"capped at {classes - 1} classes, got {classes}" in captured.err
+            assert run([*argv, "--format", "svg-dir", "--out", str(tmp_path / kind)]) == 3
             assert f"capped at {classes - 1} classes, got {classes}" in capsys.readouterr().err
             assert not (tmp_path / kind).exists()
 
@@ -560,6 +565,62 @@ class TestEnumerate:
     def test_jsonl_equals_json_dumps(self, kind, n, capsys):
         assert run(["enumerate", "--n", str(n), "--group", kind]) == 0
         assert capsys.readouterr().out == self.expected_jsonl(n, make_standard_group(kind, 2 * n))
+
+    @pytest.mark.parametrize("chunk", [1, 7, cli.JSONL_CHUNK])
+    @pytest.mark.parametrize("kind", ["identity", "cyclic", "dihedral"])
+    def test_jsonl_chunks_join_to_json_dumps(self, kind, chunk, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "JSONL_CHUNK", chunk)
+        for n in range(1, 7):
+            assert run(["enumerate", "--n", str(n), "--group", kind]) == 0
+            expected = self.expected_jsonl(n, make_standard_group(kind, 2 * n))
+            assert capsys.readouterr().out == expected
+
+    def test_jsonl_writes_one_chunk_at_a_time(self, monkeypatch):
+        class Counting:
+            def __init__(self):
+                self.chunks = []
+
+            def write(self, text):
+                self.chunks.append(text)
+                return len(text)
+
+        out = Counting()
+        monkeypatch.setattr(sys, "stdout", out)
+        assert run(["enumerate", "--n", "6", "--group", "identity"]) == 0
+        classes = 10395  # 11!!, every matching of 12 points
+        assert len(out.chunks) <= -(-classes // cli.JSONL_CHUNK) + 1
+        assert "".join(out.chunks) == self.expected_jsonl(6, make_standard_group("identity", 12))
+
+    def test_longest_listing_streams_in_little_memory(self):
+        # 2,027,025 classes, 186 MB of text; held whole, the listing peaked
+        # at 559 MB RSS
+        proc = run_module(
+            "enumerate", "--n", "8", "--group", "identity",
+            address_space=200 * 2**20, stdout=subprocess.DEVNULL,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+
+    def test_reader_that_closes_early(self, tmp_path):
+        # the listing (11 MB) outgrows any pipe buffer, so the child is still
+        # writing when the reader closes the pipe
+        err = tmp_path / "stderr"
+        with open(err, "wb") as errfile:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "chorddia", "enumerate", "--n", "7", "--group", "identity"],
+                stdout=subprocess.PIPE, stderr=errfile, env=child_env(),
+            )
+        try:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            code = proc.wait(timeout=60)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert first == b'{"n": 7, "chords": [[1, 2], [3, 4], [5, 6], [7, 8], [9, 10],' \
+            b' [11, 12], [13, 14]]}\n'
+        assert code == 1
+        assert err.read_bytes() == b""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_jsonl_equals_json_dumps_group_file(self, n, tmp_path, capsys):
@@ -1085,27 +1146,36 @@ class TestRenderSvg:
         assert render_svg(d) == render_svg(d)
 
 
-def run_module(*args, address_space=None, timeout=120):
+def run_module(*args, address_space=None, timeout=120, stdout=subprocess.PIPE):
     """python -m chorddia ARGS; see run_python."""
-    return run_python("-m", "chorddia", *args, address_space=address_space, timeout=timeout)
+    return run_python(
+        "-m", "chorddia", *args, address_space=address_space, timeout=timeout, stdout=stdout
+    )
 
 
-def run_python(*args, address_space=None, timeout=120):
-    """python ARGS, importing the package these tests import; address_space
-    caps the child's virtual memory in bytes. A child still running after
-    timeout seconds is killed and the test fails, so a lost work bound
-    cannot hang the suite."""
+def child_env():
+    """The environment of a child that imports the package these tests import."""
     src = str(Path(chorddia.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def run_python(*args, address_space=None, timeout=120, stdout=subprocess.PIPE):
+    """python ARGS, importing the package these tests import; address_space
+    caps the child's virtual memory in bytes, and stdout=subprocess.DEVNULL
+    discards its stdout instead of capturing it. A child still running after
+    timeout seconds is killed and the test fails, so a lost work bound
+    cannot hang the suite."""
 
     def limit_memory():
         resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
 
     return subprocess.run(
         [sys.executable, *args],
-        capture_output=True,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=child_env(),
         preexec_fn=limit_memory if address_space else None,
         timeout=timeout,
     )

@@ -127,10 +127,17 @@ def test_pickle_round_trip(cls, fields, text):
         lambda: GroupElement(("a", 0)),
         lambda: ChordDiagram((1.0, 0)),
         lambda: ChordDiagram((True, False)),
+        # from_chords checks its size and the endpoints' types itself
+        lambda: ChordDiagram.from_chords([], size=-2),
+        lambda: ChordDiagram.from_chords([], size=2.0),
+        lambda: ChordDiagram.from_chords([], size=True),
+        lambda: ChordDiagram.from_chords([(0.0, 1)]),
+        lambda: ChordDiagram.from_chords([(0, True)]),
     ],
     ids=["ct-unsorted", "ct-zero", "ct-duplicate", "ge-repeat", "ge-range",
          "cd-odd", "cd-fixed-point", "cd-not-involution", "ge-float", "ge-bool",
-         "ge-str", "cd-float", "cd-bool"],
+         "ge-str", "cd-float", "cd-bool", "fc-negative-size", "fc-float-size",
+         "fc-bool-size", "fc-float-endpoint", "fc-bool-endpoint"],
 )
 def test_invalid_input_is_domain_error(build):
     with pytest.raises(DomainError):
