@@ -11,7 +11,7 @@ import argparse
 import math
 import os
 import sys
-from itertools import islice
+from itertools import chain, islice
 from operator import getitem
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -136,39 +136,44 @@ def _resolve_group(args, n: int) -> PermGroup:
     return make_standard_group(args.group, 2 * n)
 
 
+# Pieces of output that _write joins into one write, whatever the format:
+# one system call per chunk where stdout is unbuffered, so a count, a table
+# or a JSON document is one write, and a listing holds one chunk of lines
+# at a time (377 kB at n = 8).
+WRITE_CHUNK = 4096
+
+
+def _write(pieces) -> None:
+    """Write the text pieces to stdout, WRITE_CHUNK of them per call."""
+    pieces = iter(pieces)
+    write = sys.stdout.write
+    while chunk := list(islice(pieces, WRITE_CHUNK)):
+        write("".join(chunk))
+
+
 def _write_csv(header: tuple[str, ...], rows) -> None:
     """The header line, then one comma-joined line per row."""
-    lines = [",".join(header), *(",".join(map(str, row)) for row in rows)]
-    sys.stdout.write("\n".join(lines) + "\n")
+    _write(",".join(map(str, row)) + "\n" for row in chain([header], rows))
 
 
 def _write_json(payload) -> None:
     import json  # a few ms of start-up, so only where JSON is written
 
-    json.dump(payload, sys.stdout, indent=2)
-    sys.stdout.write("\n")
-
-
-# Lines that _write_jsonl joins into one write: one system call per chunk
-# where stdout is unbuffered, and 377 kB of text at n = 8.
-JSONL_CHUNK = 4096
+    # the encoder's chunks, then a newline: the bytes of json.dump(indent=2)
+    _write(chain(json.JSONEncoder(indent=2).iterencode(payload), ["\n"]))
 
 
 def _write_jsonl(n: int, partners) -> None:
     """One line per partner array, json.dumps(ChordDiagram(p).to_json_dict())
-    and a newline, written in chunks of JSONL_CHUNK lines. partners may be
-    the walk's own arrays: each line is made before the next is asked for."""
+    and a newline. partners may be the walk's own arrays: each line is made
+    before the next is asked for."""
     size = 2 * n
     # cell[v][w]: the text of chord (v, w) from its smaller endpoint, so a
     # line is the non-empty cells of (v, p[v]) in the order of v
     cell = [[f"[{v + 1}, {w + 1}]" if v < w else "" for w in range(size)]
             for v in range(size)]
     head = f'{{"n": {n}, "chords": ['
-    lines = (f"{head}{', '.join(filter(None, map(getitem, cell, p)))}]}}\n"
-             for p in partners)
-    write = sys.stdout.write
-    while chunk := "".join(islice(lines, JSONL_CHUNK)):
-        write(chunk)
+    _write(f"{head}{', '.join(filter(None, map(getitem, cell, p)))}]}}\n" for p in partners)
 
 
 # ---------------------------------------------------------------- count
@@ -205,7 +210,7 @@ def _cmd_count(args) -> int:
         # refused before the group is built or closed
         oracle._check_n(n)
         value = oracle.orbit_count(n, _resolve_group(args, n), threads=args.threads).orbit_count
-    print(value)
+    _write([f"{value}\n"])
     return 0
 
 
@@ -245,13 +250,13 @@ def _cmd_table(args) -> int:
 
 # ---------------------------------------------------------------- enumerate
 
-# The JSON lines stream from the walk, so a listing holds one chunk of
-# lines at a time. On a 2-vCPU machine the longest listing under the
-# default oracle cap, `enumerate --n 8 --group identity` (2,027,025
-# classes, 186 MB of text), takes 5.3 s and peaks at 20 MB RSS; the longest
-# under the hard cap, `--n 9 --group cyclic` (1,915,951), 5.3 s and 20 MB.
-# The next listing, the identity group at n = 9, has 34,459,425 classes
-# (3.5 GB of text); --format svg-dir still holds every class.
+# The JSON lines and the SVG files stream from the walk, so a listing holds
+# one chunk of lines, or one file, at a time. On a 2-vCPU machine the
+# longest listing under the default oracle cap, `enumerate --n 8 --group
+# identity` (2,027,025 classes, 186 MB of text), takes 5.3 s and peaks at
+# 20 MB RSS; the longest under the hard cap, `--n 9 --group cyclic`
+# (1,915,951), 5.3 s and 20 MB. The next listing, the identity group at
+# n = 9, has 34,459,425 classes (3.5 GB of text).
 MAX_ENUMERATE_CLASSES = 2027025
 
 
@@ -280,20 +285,20 @@ def _cmd_enumerate(args) -> int:
     if args.format == "jsonl":
         _write_jsonl(n, oracle._minima(group))
         return 0
+    from .diagrams import ChordDiagram
     from .svg import render_svg
 
-    reps = oracle.representatives(n, group)
+    width = max(2, len(str(classes)))
     out_dir = Path(args.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        width = max(2, len(str(len(reps))))
-        for idx, d in enumerate(reps, start=1):
+        for idx, p in enumerate(oracle._minima(group), start=1):
             (out_dir / f"diagram-{idx:0{width}d}.svg").write_text(
-                render_svg(d), encoding="utf-8"
+                render_svg(ChordDiagram._unchecked(tuple(p))), encoding="utf-8"
             )
     except OSError as exc:
         raise DomainError(f"cannot write to {out_dir}: {exc}") from exc
-    print(f"wrote {len(reps)} SVG files to {out_dir}", file=sys.stderr)
+    print(f"wrote {classes} SVG files to {out_dir}", file=sys.stderr)
     return 0
 
 
@@ -534,6 +539,10 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
+    # with file descriptor 1 closed at start, Python sets sys.stdout to None:
+    # end as a closed pipe does, before any work
+    if sys.stdout is None:
+        sys.exit(1)
     try:
         code = run()
         sys.stdout.flush()

@@ -64,7 +64,7 @@ per minimum); the census keys each minimum with _census_key and weights
 each key by its orbit size. A listing needs the minima themselves, in
 order and one at a time, so _minima streams their partner arrays from
 one serial walk, with no Counter: representatives copies each one, and
-enumerate writes each one's line as it comes.
+enumerate writes each one's line, or SVG file, as it comes.
 
 The census (_dihedral_census) is one walk of the D_2n orbit minima whose
 step carries the crossing count and whether every chord so far is strict,

@@ -8,6 +8,7 @@ import sys
 import xml.etree.ElementTree as ET
 from contextlib import contextmanager
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -16,6 +17,7 @@ from chorddia import ChordDiagram, dihedral_count, make_standard_group, represen
 from chorddia import cli
 from chorddia.cli import run
 from chorddia.svg import render_svg
+from test_pins import dir_digest, workloads
 
 EXPECTED_TABLE_3_10 = (
     "n,c_n,floor_c_lower,d_n,floor_d_lower\n"
@@ -452,6 +454,32 @@ class TestTable:
         assert "Traceback" not in proc.stderr
 
 
+# (number of files, dir_digest) of the svg-dir listing of each standard
+# group and of the benchmark's two group files
+SVG_DIR_DIGESTS = {
+    ("identity", 1): (1, "001310cf9032f03e826e16b4fbbd02b04cff5274a24077f08749db57d9eceea7"),
+    ("identity", 2): (3, "9e0b73679442d83ef75790b80012526f5e061883b80bc68729aeb6ed9588a1d1"),
+    ("identity", 3): (15, "dc38c36209567e4f3e10803341b6befe1b4f148be7ecfa3f779431b1b5822532"),
+    ("identity", 4): (105, "fc8cfbcfc4d4a738548254d91539e9269f32826aac257f9541aaa74eac9ae34c"),
+    ("identity", 5): (945, "668a1a8782e8bac2c6c0f0ed9956f4bb12b33521dd99a1abb6f85aed5a723be5"),
+    ("identity", 6): (10395, "1635abb8306b725f8662028b85ed9988e49170ed24cecfb279020201e7fb2f01"),
+    ("cyclic", 1): (1, "001310cf9032f03e826e16b4fbbd02b04cff5274a24077f08749db57d9eceea7"),
+    ("cyclic", 2): (2, "da06d42d99193b15793b5e29aa2f5d7ae71de30b7b0a016132d68609d2ea54ab"),
+    ("cyclic", 3): (5, "c25525651fad005aed9769b54c84eac80c54e9770bd99beaf2b8efd758a788dc"),
+    ("cyclic", 4): (18, "1db47fbac5cb3835fa70f13d2f9ac91243144f4b61d6dbcea42eb3dbef7cdea6"),
+    ("cyclic", 5): (105, "3aeeccd580a33e687fb31e206ee3df62cd65722ccdda3e32a679fab890237ba9"),
+    ("cyclic", 6): (902, "d02bf0c20f95137190c7cfd28a8a1bfb0ca558d027a1e381376b3bdae03ea01a"),
+    ("dihedral", 1): (1, "001310cf9032f03e826e16b4fbbd02b04cff5274a24077f08749db57d9eceea7"),
+    ("dihedral", 2): (2, "da06d42d99193b15793b5e29aa2f5d7ae71de30b7b0a016132d68609d2ea54ab"),
+    ("dihedral", 3): (5, "c25525651fad005aed9769b54c84eac80c54e9770bd99beaf2b8efd758a788dc"),
+    ("dihedral", 4): (17, "9984b101d9085b3522e56f541e2e3467dde6d0b3e42c0ed349a8f5185f14c328"),
+    ("dihedral", 5): (79, "971573c8ecb4481be37d2ccb3c29dd7429f084084a412b70525051a368424d40"),
+    ("dihedral", 6): (554, "87c58770f33e094125671482c1bc06a87c17707c8133117f31462c28e086ac07"),
+    ("{S8}", 8): (764, "da3047977cbe0051c6088162505e74d604a189a94f5352b716f22c29fd18a5ae"),
+    ("{HALF}", 3): (11, "9ac0a958657d8e0433a3d46f377a7a3b87d665cfe90ad8e74c730fcd3d905077"),
+}
+
+
 class TestEnumerate:
     def test_jsonl(self, capsys):
         assert run(["enumerate", "--n", "3", "--group", "cyclic"]) == 0
@@ -500,6 +528,51 @@ class TestEnumerate:
         assert "error: n must be >= 1" in capsys.readouterr().err
         assert run(["enumerate", "--n", "9", "--format", "svg-dir"]) == 3
         assert "oracle capped at n <= 8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("source, n", sorted(SVG_DIR_DIGESTS))
+    def test_svg_dir_files_equal_recorded_digests(self, tmp_path, capsys, source, n):
+        # names and contents as written when every class was listed first
+        files, digest = SVG_DIR_DIGESTS[source, n]
+        if source.startswith("{"):
+            argv = ["--group-file", workloads.write_group_files(tmp_path)[source.strip("{}")]]
+        else:
+            argv = ["--group", source]
+        out = tmp_path / "figs"
+        assert run(["enumerate", "--n", str(n), *argv, "--format", "svg-dir",
+                    "--out", str(out)]) == 0
+        assert capsys.readouterr() == ("", f"wrote {files} SVG files to {out}\n")
+        assert dir_digest(out) == (files, digest)
+
+    def test_svg_dir_writes_each_class_before_the_next(self, tmp_path, capsys, monkeypatch):
+        from chorddia import oracle
+
+        out = tmp_path / "figs"
+        minima = oracle._minima
+
+        def written_first(group):
+            for k, partner in enumerate(minima(group), start=1):
+                if k > 1:
+                    assert (out / f"diagram-{k - 1:03d}.svg").is_file()
+                yield partner
+
+        monkeypatch.setattr(oracle, "_minima", written_first)
+        assert run(["enumerate", "--n", "5", "--group", "cyclic", "--format", "svg-dir",
+                    "--out", str(out)]) == 0
+        assert capsys.readouterr().err == f"wrote 105 SVG files to {out}\n"
+        assert len(list(out.iterdir())) == 105
+
+    def test_svg_dir_builds_no_class_list(self, tmp_path, capsys, monkeypatch):
+        from chorddia import oracle
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("built the list of every class")
+
+        monkeypatch.setattr(oracle, "representatives", refuse)
+        out = tmp_path / "figs"
+        assert run(["enumerate", "--n", "4", "--group", "dihedral", "--format", "svg-dir",
+                    "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert dir_digest(out) == (17, SVG_DIR_DIGESTS["dihedral", 4][1])
 
     def test_class_bound(self, tmp_path, capsys, monkeypatch):
         from chorddia import oracle
@@ -566,10 +639,10 @@ class TestEnumerate:
         assert run(["enumerate", "--n", str(n), "--group", kind]) == 0
         assert capsys.readouterr().out == self.expected_jsonl(n, make_standard_group(kind, 2 * n))
 
-    @pytest.mark.parametrize("chunk", [1, 7, cli.JSONL_CHUNK])
+    @pytest.mark.parametrize("chunk", [1, 7, cli.WRITE_CHUNK])
     @pytest.mark.parametrize("kind", ["identity", "cyclic", "dihedral"])
     def test_jsonl_chunks_join_to_json_dumps(self, kind, chunk, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "JSONL_CHUNK", chunk)
+        monkeypatch.setattr(cli, "WRITE_CHUNK", chunk)
         for n in range(1, 7):
             assert run(["enumerate", "--n", str(n), "--group", kind]) == 0
             expected = self.expected_jsonl(n, make_standard_group(kind, 2 * n))
@@ -588,7 +661,7 @@ class TestEnumerate:
         monkeypatch.setattr(sys, "stdout", out)
         assert run(["enumerate", "--n", "6", "--group", "identity"]) == 0
         classes = 10395  # 11!!, every matching of 12 points
-        assert len(out.chunks) <= -(-classes // cli.JSONL_CHUNK) + 1
+        assert len(out.chunks) <= -(-classes // cli.WRITE_CHUNK) + 1
         assert "".join(out.chunks) == self.expected_jsonl(6, make_standard_group("identity", 12))
 
     def test_longest_listing_streams_in_little_memory(self):
@@ -634,6 +707,44 @@ class TestEnumerate:
         )
         assert group.order == 2
         assert capsys.readouterr().out == self.expected_jsonl(n, group)
+
+
+class TestWrite:
+    # sha256 of each command's stdout when every format had its own write
+    # strategy: the CSV joined whole, json.dump writing each encoder chunk
+    STDOUT_SHA256 = {
+        "table --from 3 --to 60":
+            "d5a1e015e681b5fa702cfb5bd0a961490fa5cf0942d4835040cd0bfa107d75d8",
+        "table --from 3 --to 60 --format json":
+            "ff486a239b50bb54296c7e54c73d10855a3666505449b5962041dab3c517050b",
+        "crossings --n 12":
+            "9d8d5e6fbf561b3f03768616ca52a10a6e886e3ea8654502398ef73561f2e415",
+        "crossings --n 12 --format json":
+            "5810dcf1982501e4ada2538be44fc0dbe9e2ac0304288994c7ede75ed8edbd66",
+        "strict --n-max 40":
+            "41ce3f9263657fad0464c2d7b9da3ab6dc8ebe4e9307316ee61750da1f6563fa",
+    }
+
+    @pytest.mark.parametrize("chunk", [1, 7, cli.WRITE_CHUNK])
+    @pytest.mark.parametrize("command", sorted(STDOUT_SHA256))
+    def test_chunks_join_to_the_same_bytes(self, command, chunk, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "WRITE_CHUNK", chunk)
+        assert run(command.split()) == 0
+        stdout = capsys.readouterr().out.encode("utf-8")
+        assert hashlib.sha256(stdout).hexdigest() == self.STDOUT_SHA256[command]
+
+    @pytest.mark.parametrize("command", ["table --from 3 --to 60 --format json",
+                                         "crossings --n 12 --format json"])
+    def test_json_document_is_one_write(self, command, monkeypatch):
+        # json.dump wrote each of the encoder's chunks on its own: 1,395 and
+        # 80 writes with the newline, each a system call where stdout is
+        # unbuffered
+        writes = []
+        monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=writes.append))
+        assert run(command.split()) == 0
+        assert len(writes) == 1
+        stdout = writes[0].encode("utf-8")
+        assert hashlib.sha256(stdout).hexdigest() == self.STDOUT_SHA256[command]
 
 
 class TestCrossingsCommand:
@@ -1186,6 +1297,21 @@ class TestProcessEntry:
         proc = run_module("count", "--group", "cyclic", "--n", "4")
         assert proc.returncode == 0
         assert proc.stdout == "18\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["count", "--n", "5"],
+        ["table", "--from", "3", "--to", "5"],
+        ["enumerate", "--n", "3"],
+    ], ids=["count", "table", "enumerate"])
+    def test_closed_stdout(self, argv):
+        # with file descriptor 1 closed, Python starts with sys.stdout None
+        proc = subprocess.run(
+            [sys.executable, "-m", "chorddia", *argv],
+            stderr=subprocess.PIPE, env=child_env(), preexec_fn=lambda: os.close(1),
+            timeout=60,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == b""
 
     def test_help_exits_zero(self):
         proc = run_module("--help")
