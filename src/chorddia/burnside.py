@@ -4,8 +4,8 @@ By Burnside's lemma the number of orbits is the average, over the group,
 of the number of matchings each element fixes. That number depends only
 on the element's cycle type, so the average is a sum over the cycle-type
 classes of the acting group: closed_forms._class_sum, the same class sum
-that evaluates the closed forms, computes it. The split
-into classes (_class_sizes) types each element with one walk of its
+that evaluates the closed forms, computes it from each class's parts. The
+split into classes (_class_sizes) types each element with one walk of its
 cycles that move points: their sorted lengths fix the cycle type, since
 every other point is fixed, and a cache keyed by them returns one
 CycleType per type.
@@ -31,7 +31,7 @@ from operator import attrgetter
 from typing import Iterator, Mapping
 
 from .closed_forms import _class_sum
-from .errors import DomainError, Record, exact_div
+from .errors import DomainError, Record, _require_int, exact_div
 from .groups import CycleType, PermGroup, cycle_type_of
 
 
@@ -154,8 +154,7 @@ def _unpack(code: int, n: int) -> tuple[tuple[int, int], ...]:
 def wreath_cycle_type_distribution(n: int) -> WreathTypeDistribution:
     """Distribution of cycle types over the matching-symmetry group for
     order n. Every key has degree 2n; counts sum to 2^n * n!."""
-    if n < 1:
-        raise DomainError("wreath distribution requires n >= 1")
+    _require_int(n, 1, "wreath distribution requires n >= 1")
     grouped: dict[int, int] = {}
     for code, weight in _wreath_terms(n):
         grouped[code] = grouped.get(code, 0) + weight
@@ -165,21 +164,19 @@ def wreath_cycle_type_distribution(n: int) -> WreathTypeDistribution:
     )
 
 
-def _class_sizes(n: int, group: PermGroup, context: str) -> dict[CycleType, int]:
-    """Number of elements of the acting group with each cycle type, in the
-    order of each class's first element.
+def _class_sizes(n: int, group: PermGroup, context: str) -> Counter:
+    """Number of elements of the acting group with each cycle type, keyed by
+    the type's parts, in the order of each class's first element.
 
     cycle_type_of is read through this module and called once per element,
     so a tracer that wraps it counts and times the split. It returns one
     cached CycleType per type; the elements are counted by its parts, a
-    tuple that hashes in C, and each class gets one CycleType at the end.
+    tuple that hashes in C.
     """
-    if n < 1:
-        raise DomainError(f"{context} requires n >= 1")
+    _require_int(n, 1, f"{context} requires n >= 1")
     if group.size != 2 * n:
         raise DomainError(f"group acts on {group.size} points, expected {2 * n}")
-    sizes = Counter(map(attrgetter("parts"), map(cycle_type_of, group.elements)))
-    return {CycleType(parts): count for parts, count in sizes.items()}
+    return Counter(map(attrgetter("parts"), map(cycle_type_of, group.elements)))
 
 
 def burnside_count(n: int, group: PermGroup) -> int:
@@ -202,7 +199,7 @@ def _wreath_class_sum(n: int, group: PermGroup) -> int:
     """
     sizes = _class_sizes(n, group, "_wreath_class_sum")
     total = 0
-    for g_type, g_mult in sizes.items():
-        total += g_mult * sum(weight for _, weight in _wreath_terms(n, dict(g_type.parts)))
+    for parts, g_mult in sizes.items():
+        total += g_mult * sum(weight for _, weight in _wreath_terms(n, dict(parts)))
     denominator = 2**n * math.factorial(n) * group.order
     return exact_div(total, denominator, "wreath class sum")

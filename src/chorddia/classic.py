@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import ConsistencyError, DomainError, Record, ResourceLimitError, exact_div
+from .errors import ConsistencyError, Record, ResourceLimitError, _require_int, exact_div
 
 # crossing_polynomial's division is about n^2/2 coefficients times n passes
 # of growing integers: n = 500 takes about 14 s on a 2-vCPU machine, and
@@ -46,8 +46,7 @@ class StrictSequences(Record):
 
 def catalan_noncrossing(n: int) -> int:
     """Diagrams of order n with no crossing chords: (2n)!/(n!(n+1)!)."""
-    if n < 1:
-        raise DomainError("catalan_noncrossing requires n >= 1")
+    _require_int(n, 1, "catalan_noncrossing requires n >= 1")
     return math.factorial(2 * n) // (math.factorial(n) * math.factorial(n + 1))
 
 
@@ -61,8 +60,7 @@ def crossing_polynomial(n: int) -> CrossingPolynomial:
     exact long division; any nonzero remainder or negative coefficient is
     an internal error.
     """
-    if n < 1:
-        raise DomainError("crossing_polynomial requires n >= 1")
+    _require_int(n, 1, "crossing_polynomial requires n >= 1")
     if n > MAX_CROSSING_N:
         raise ResourceLimitError(
             f"crossing polynomial capped at n <= {MAX_CROSSING_N}, got n = {n}"
@@ -107,8 +105,7 @@ def _crossing_transfers(n_max: int) -> list[tuple[int, ...]]:
     points left could close by the end of the scan is dropped; it could
     not close by any earlier row's end either.
     """
-    if n_max < 1:
-        raise DomainError("_crossing_transfers requires n_max >= 1")
+    _require_int(n_max, 1, "_crossing_transfers requires n_max >= 1")
     size = 2 * n_max
     ways = [[1]]
     rows = []
@@ -152,8 +149,7 @@ def _strict_inclusion_exclusion(n: int) -> int:
     At n = 1 the two edges of the 2-cycle are the same chord, which the
     sum counts twice, so the one (non-strict) diagram is a special case.
     """
-    if n < 1:
-        raise DomainError("_strict_inclusion_exclusion requires n >= 1")
+    _require_int(n, 1, "_strict_inclusion_exclusion requires n >= 1")
     if n == 1:
         return 0
     size = 2 * n
@@ -174,8 +170,7 @@ def strict_sequences(n_max: int) -> StrictSequences:
     Hazewinkel-Kalashnikov recurrence on the cumulative sequence:
     a(n) = (2n-1) * a(n-1) + a(n-2), seeded with a(1) = 0, a(2) = 1; the
     per-order counts are the first differences."""
-    if n_max < 1:
-        raise DomainError("strict_sequences requires n_max >= 1")
+    _require_int(n_max, 1, "strict_sequences requires n_max >= 1")
     if n_max > MAX_STRICT_N:
         raise ResourceLimitError(
             f"strict sequences capped at n <= {MAX_STRICT_N}, got n = {n_max}"

@@ -16,7 +16,7 @@ from operator import getitem
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .errors import DomainError, ResourceLimitError, _is_int
+from .errors import DomainError, ResourceLimitError, _is_int, _require_int
 
 if TYPE_CHECKING:
     from .groups import PermGroup
@@ -39,9 +39,7 @@ def _standard_formula(kind: str):
 
 
 def _require_order(n: int) -> int:
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    return n
+    return _require_int(n, 1, "n must be >= 1")
 
 
 def _threads(text: str) -> int:
@@ -99,9 +97,9 @@ def load_group_file(path: str, points_expected: int | None = None) -> PermGroup:
     if not isinstance(obj, dict) or "points" not in obj or "elements" not in obj:
         raise DomainError("group file must contain 'points' and 'elements'")
     points = obj["points"]
-    # JSON true/false load as bool, which Python counts as an int
-    if not _is_int(points) or points < 2 or points % 2:
-        raise DomainError("group file 'points' must be an even integer >= 2")
+    message = "group file 'points' must be an even integer >= 2"
+    if _require_int(points, 2, message) % 2:
+        raise DomainError(message)
     if points_expected is not None and points != points_expected:
         raise DomainError(
             f"group file acts on {points} points but n requires {points_expected}"

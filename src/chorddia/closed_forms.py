@@ -2,9 +2,10 @@
 reflection, with their asymptotic lower bounds.
 
 The number of matchings a permutation fixes depends only on its cycle
-type. _class_sum is the one place that evaluates it: given cycle-type
-classes and their sizes, it walks each cycle length's multiplicities once
-for all the types and divides the Burnside total by the group order.
+type. _class_sum is the one place that evaluates it: given the classes as
+(parts, size) pairs, parts being a cycle type's sorted (length,
+multiplicity) pairs, it walks each cycle length's multiplicities once for
+all the types and divides the Burnside total by the group order.
 cyclic_count, dihedral_count, burnside.burnside_count and
 fixed_matching_count are each one call of it.
 
@@ -17,11 +18,14 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Collection
 
-from .errors import DomainError, Record, exact_div
+from .errors import DomainError, Record, _require_int, exact_div
 from .groups import CycleType, divisors, euler_phi
 
 if TYPE_CHECKING:
     from fractions import Fraction
+
+# a cycle type's (length, multiplicity) pairs, sorted by length
+_Parts = tuple[tuple[int, int], ...]
 
 
 def double_factorial(m: int) -> int:
@@ -35,14 +39,13 @@ def double_factorial(m: int) -> int:
 
 def diagram_count(n: int) -> int:
     """(2n-1)!!: the number of distinct diagrams under the identity group."""
-    if n < 1:
-        raise DomainError("diagram_count requires n >= 1")
+    _require_int(n, 1, "diagram_count requires n >= 1")
     return double_factorial(2 * n - 1)
 
 
-def _class_sum(classes: Collection[tuple[CycleType, int]], order: int, context: str) -> int:
+def _class_sum(classes: Collection[tuple[_Parts, int]], order: int, context: str) -> int:
     """Sum of size * (matchings a permutation of the type fixes) over the
-    (cycle type, size) classes, divided exactly by order.
+    (parts, size) classes, divided exactly by order.
 
     A fixed matching maps the chords at a cycle of length l onto chords at
     cycles of the same length, so the count is a product over lengths with
@@ -57,7 +60,7 @@ def _class_sum(classes: Collection[tuple[CycleType, int]], order: int, context: 
     """
     factors: dict[tuple[int, int], int] = {}
     walked = 0
-    for length, mult in sorted({part for ct, _ in classes for part in ct.parts}):
+    for length, mult in sorted({part for parts, _ in classes for part in parts}):
         if length != walked:
             # at m = 0: a_0 (or (-1)!!) = 1, and a_(-1) never counts
             walked, m, previous, current = length, 0, 0, 1
@@ -70,44 +73,45 @@ def _class_sum(classes: Collection[tuple[CycleType, int]], order: int, context: 
         else:
             current *= math.prod(range(m + 1, mult, 2))
             m, factors[length, mult] = mult, current * length ** (mult // 2)
-    total = sum(size * math.prod(map(factors.__getitem__, ct.parts)) for ct, size in classes)
+    total = sum(size * math.prod(map(factors.__getitem__, parts)) for parts, size in classes)
     return exact_div(total, order, context)
 
 
 def fixed_matching_count(cycle_type: CycleType) -> int:
     """Number of perfect matchings fixed by a permutation of this cycle type."""
-    return _class_sum([(cycle_type, 1)], 1, "fixed_matching_count")
+    return _class_sum([(cycle_type.parts, 1)], 1, "fixed_matching_count")
 
 
-def _rotation_classes(n: int) -> list[tuple[CycleType, int]]:
+def _rotation_classes(n: int) -> list[tuple[_Parts, int]]:
     """The classes of C_2n: phi(i) rotations of order i, of type i^(2n/i)."""
-    return [(CycleType(((i, 2 * n // i),)), euler_phi(i)) for i in divisors(2 * n)]
+    return [(((i, 2 * n // i),), euler_phi(i)) for i in divisors(2 * n)]
+
+
+def _require_divisor(n: int, i: int, context: str):
+    """Refuse an order n below 1, or an i that is not a divisor of 2n."""
+    _require_int(n, 1, f"{context} requires n >= 1")
+    message = f"{i} does not divide {2 * n}"
+    if (2 * n) % _require_int(i, 1, message):
+        raise DomainError(message)
 
 
 def rotation_fixed_count(n: int, i: int) -> int:
     """Number of matchings on 2n points fixed by a rotation of order i,
     whose cycle type is i^(2n/i)."""
-    if n < 1:
-        raise DomainError("rotation_fixed_count requires n >= 1")
-    if i < 1 or (2 * n) % i:
-        raise DomainError(f"{i} does not divide {2 * n}")
-    return fixed_matching_count(CycleType(((i, 2 * n // i),)))
+    _require_divisor(n, i, "rotation_fixed_count")
+    return _class_sum([(((i, 2 * n // i),), 1)], 1, "rotation_fixed_count")
 
 
 def cyclic_count(n: int) -> int:
     """Number of diagrams of order n up to rotation."""
-    if n < 1:
-        raise DomainError("cyclic_count requires n >= 1")
+    _require_int(n, 1, "cyclic_count requires n >= 1")
     return _class_sum(_rotation_classes(n), 2 * n, "cyclic_count")
 
 
 def wreath_uniform_count(n: int, i: int) -> int:
     """Number of pair-permutations-with-flips on n pairs whose entry cycles
     all have length i (i must divide 2n)."""
-    if n < 1:
-        raise DomainError("wreath_uniform_count requires n >= 1")
-    if i < 1 or (2 * n) % i:
-        raise DomainError(f"{i} does not divide {2 * n}")
+    _require_divisor(n, i, "wreath_uniform_count")
     from fractions import Fraction  # imported here: with decimal, a few ms of start-up
 
     if i % 2:
@@ -128,8 +132,7 @@ def partial_pairing_count(n: int) -> int:
     """Sum over k of n! / (k! * (n-2k)!): the number of ways to pick any
     number of disjoint ordered pairs from n items. Equals the count of
     pair-permutations-with-flips whose entry cycles all have length 2."""
-    if n < 0:
-        raise DomainError("partial_pairing_count requires n >= 0")
+    _require_int(n, 0, "partial_pairing_count requires n >= 0")
     return sum(
         math.factorial(n) // (math.factorial(k) * math.factorial(n - 2 * k))
         for k in range(n // 2 + 1)
@@ -140,8 +143,7 @@ def reflection_type_wreath_count(n: int) -> int:
     """Number of pair-permutations-with-flips on n pairs whose entry cycle
     type is two fixed points plus (n-1) transpositions, i.e. the type of a
     point-fixing reflection."""
-    if n < 1:
-        raise DomainError("reflection_type_wreath_count requires n >= 1")
+    _require_int(n, 1, "reflection_type_wreath_count requires n >= 1")
     total = 0
     for l in range(1, n + 1):
         if (n - l) % 2 == 0:
@@ -152,10 +154,9 @@ def reflection_type_wreath_count(n: int) -> int:
 
 def dihedral_count(n: int) -> int:
     """Number of diagrams of order n up to rotation and reflection."""
-    if n < 1:
-        raise DomainError("dihedral_count requires n >= 1")
+    _require_int(n, 1, "dihedral_count requires n >= 1")
     # n reflections fix no point (type 2^n), n fix two (type 1^2 2^(n-1))
-    reflections = [(CycleType(((2, n),)), n), (CycleType.from_counts({1: 2, 2: n - 1}), n)]
+    reflections = [(((2, n),), n), (((1, 2), (2, n - 1)) if n > 1 else ((1, 2),), n)]
     return _class_sum(_rotation_classes(n) + reflections, 4 * n, "dihedral_count")
 
 
@@ -181,8 +182,7 @@ def asymptotic_lower_bound(kind: str, n: int) -> AsymptoticBound:
     """Lower bound for the cyclic or dihedral count; each orbit has at most
     2n (cyclic) or 4n (dihedral) diagrams, so the bound is also the
     asymptotic value."""
-    if n < 1:
-        raise DomainError("asymptotic_lower_bound requires n >= 1")
+    _require_int(n, 1, "asymptotic_lower_bound requires n >= 1")
     if kind == "cyclic":
         denominator = 2 * n
     elif kind == "dihedral":

@@ -11,7 +11,7 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import Callable, Iterator, Sequence
 
-from .errors import DomainError, Record, _is_int
+from .errors import DomainError, Record, _is_int, _require_int
 from .groups import GroupElement, PermGroup
 
 
@@ -47,8 +47,8 @@ class ChordDiagram(Record):
         """Build from 0-based endpoint pairs."""
         if size is None:
             size = 2 * len(chords)
-        elif not _is_int(size) or size < 0:
-            raise DomainError(f"size must be an int >= 0, got {size!r}")
+        else:
+            _require_int(size, 0, f"size must be an int >= 0, got {size!r}")
         partner = [-1] * size
         for a, b in chords:
             if not (_is_int(a) and _is_int(b)):
@@ -82,9 +82,11 @@ class ChordDiagram(Record):
             chords = [(a, b) for a, b in obj["chords"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise DomainError(f"malformed chord list object: {exc}") from exc
-        if not _is_int(n) or n < 0 or not all(_is_int(v) for chord in chords for v in chord):
-            raise DomainError("chord list object needs an int n >= 0 and int endpoints")
-        return cls.from_chords([(a - 1, b - 1) for a, b in chords], size=2 * n)
+        message = "chord list object needs an int n >= 0 and int endpoints"
+        size = 2 * _require_int(n, 0, message)
+        if not all(_is_int(v) for chord in chords for v in chord):
+            raise DomainError(message)
+        return cls.from_chords([(a - 1, b - 1) for a, b in chords], size=size)
 
     def __str__(self):
         return " ".join(f"({a + 1},{b + 1})" for a, b in self.chords())
@@ -426,8 +428,7 @@ def matchings(size: int, first_partner: int | None = None) -> Iterator[list[int]
 
 def all_diagrams(n: int, first_partner: int | None = None) -> Iterator[ChordDiagram]:
     """All (2n-1)!! chord diagrams of order n, each exactly once."""
-    if n < 1:
-        raise DomainError("all_diagrams requires n >= 1")
+    _require_int(n, 1, "all_diagrams requires n >= 1")
     for partner in matchings(2 * n, first_partner):
         yield ChordDiagram(tuple(partner))
 

@@ -1,5 +1,5 @@
-"""Exception types, the base of the value types and the integer test of
-parsed input, shared across the package."""
+"""Exception types, the base of the value types and the integer checks of
+arguments and parsed input, shared across the package."""
 
 
 class DomainError(ValueError):
@@ -23,6 +23,16 @@ def _is_int(value) -> bool:
     """True for an int parsed from input, False for a bool (which Python
     counts as an int) and for any other type."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _require_int(value, least: int, what: str) -> int:
+    """Return value when it is an int, not a bool, and value >= least;
+    otherwise raise DomainError(what), with the same message for a value
+    out of range and one of another type. This is the one check of every
+    order, bound, divisor and thread count that a function takes."""
+    if not _is_int(value) or value < least:
+        raise DomainError(what)
+    return value
 
 
 def exact_div(numerator: int, denominator: int, context: str) -> int:

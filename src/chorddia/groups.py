@@ -11,7 +11,7 @@ from functools import lru_cache
 from operator import itemgetter, methodcaller
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import DomainError, Record, ResourceLimitError
+from .errors import DomainError, Record, ResourceLimitError, _require_int
 
 STANDARD_GROUP_KINDS = ("identity", "cyclic", "dihedral")
 
@@ -36,7 +36,8 @@ class CycleType(Record):
     def _check(self):
         parts = self.parts
         for length, mult in parts:
-            if length < 1 or mult < 1:
+            # exactly int, as GroupElement's images: a bool or float is refused
+            if type(length) is not int or type(mult) is not int or length < 1 or mult < 1:
                 raise DomainError(f"invalid cycle type entry {length}^{mult}")
         if list(parts) != sorted(parts):
             raise DomainError("cycle type parts must be sorted by length")
@@ -161,8 +162,7 @@ class PermGroup(Record):
 
 def euler_phi(m: int) -> int:
     """Count of k in [1, m] coprime to m."""
-    if m < 1:
-        raise DomainError("euler_phi requires m >= 1")
+    _require_int(m, 1, "euler_phi requires m >= 1")
     result = m
     rest = m
     p = 2
@@ -179,8 +179,7 @@ def euler_phi(m: int) -> int:
 
 def divisors(m: int) -> list[int]:
     """All divisors of m, ascending."""
-    if m < 1:
-        raise DomainError("divisors requires m >= 1")
+    _require_int(m, 1, "divisors requires m >= 1")
     small, large = [], []
     d = 1
     while d * d <= m:
@@ -196,8 +195,7 @@ def divisors(m: int) -> list[int]:
 def partitions(n: int) -> Iterator[CycleType]:
     """Integer partitions of n as CycleTypes, in descending-lexicographic
     order of the part lists (so [n] first, [1]*n last)."""
-    if n < 0:
-        raise DomainError("partitions requires n >= 0")
+    _require_int(n, 0, "partitions requires n >= 0")
 
     def gen(remaining: int, max_part: int, prefix: list[int]):
         if remaining == 0:
@@ -259,8 +257,9 @@ def make_standard_group(kind: str, points: int) -> PermGroup:
     order 2. Raises ResourceLimitError, before building anything, when the
     elements would store more than MAX_CLOSURE_ENTRIES image entries.
     """
-    if points < 2 or points % 2:
-        raise DomainError("points must be even and >= 2")
+    message = "points must be even and >= 2"
+    if _require_int(points, 2, message) % 2:
+        raise DomainError(message)
     built = {"identity": 1, "cyclic": points, "dihedral": 2 * points}.get(kind, 0)
     if built * points > MAX_CLOSURE_ENTRIES:
         raise ResourceLimitError(

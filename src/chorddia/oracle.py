@@ -92,10 +92,10 @@ import os
 from collections import Counter
 from itertools import starmap
 from operator import itemgetter
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterator, Mapping
 
 from .diagrams import ChordDiagram, _ElementArrays, _position0_table, _walk
-from .errors import DomainError, Record, ResourceLimitError, exact_div
+from .errors import DomainError, Record, ResourceLimitError, _require_int, exact_div
 from .groups import GroupElement, PermGroup, make_standard_group
 
 if TYPE_CHECKING:
@@ -122,14 +122,12 @@ def enumeration_cap() -> int:
         cap = int(raw)
     except ValueError:
         raise DomainError(f"{CAP_ENV_VAR} must be an integer, got {raw!r}")
-    if cap < 1:
-        raise DomainError(f"{CAP_ENV_VAR} must be at least 1, got {cap}")
+    _require_int(cap, 1, f"{CAP_ENV_VAR} must be at least 1, got {cap}")
     return min(cap, HARD_CAP)
 
 
 def _check_n(n: int):
-    if n < 1:
-        raise DomainError("oracle requires n >= 1")
+    _require_int(n, 1, "oracle requires n >= 1")
     cap = enumeration_cap()
     if n > cap:
         raise ResourceLimitError(
@@ -152,11 +150,7 @@ def _element_arrays(group: PermGroup) -> list[_ElementArrays]:
 
 
 def _resolve_threads(threads: int | None) -> int:
-    if threads is None:
-        threads = 1
-    if threads < 1:
-        raise DomainError("threads must be >= 1")
-    return threads
+    return 1 if threads is None else _require_int(threads, 1, "threads must be >= 1")
 
 
 def _map_branches(worker, tasks, threads: int):
@@ -223,11 +217,14 @@ def _census_key(partner, stabilizer, state) -> tuple[int, int, object]:
     return len(stabilizer), rotations, state
 
 
-def _orbit_sizes(group_order: int, by_stabilizer: Counter) -> dict[int, int]:
-    """Orbit-size histogram from the minima counted by their non-identity
-    stabilizer's size k: an orbit has |G| / (1 + k) elements, so distinct
-    k give distinct orbit sizes."""
-    return dict(sorted((group_order // (1 + k), count) for k, count in by_stabilizer.items()))
+def _summary(n: int, group_order: int, sizes: Mapping[int, int]) -> OrbitSummary:
+    """The summary of a group's orbits, counted by their size in sizes."""
+    return OrbitSummary(
+        n=n,
+        group_order=group_order,
+        orbit_count=sum(sizes.values()),
+        orbit_size_histogram=dict(sorted(sizes.items())),
+    )
 
 
 def orbit_count(n: int, group: PermGroup, threads: int | None = None) -> OrbitSummary:
@@ -236,12 +233,9 @@ def orbit_count(n: int, group: PermGroup, threads: int | None = None) -> OrbitSu
     _check_points(n, group)
     threads = _resolve_threads(threads)
     leaves = _orbit_walk(group, None, _stabilizer_sizes, threads=threads)
-    return OrbitSummary(
-        n=n,
-        group_order=group.order,
-        orbit_count=sum(leaves.values()),
-        orbit_size_histogram=_orbit_sizes(group.order, leaves),
-    )
+    # a minimum whose non-identity stabilizer has k elements stands for an
+    # orbit of |G| / (1 + k), so distinct k give distinct orbit sizes
+    return _summary(n, group.order, {group.order // (1 + k): c for k, c in leaves.items()})
 
 
 def fixed_diagram_count(n: int, g: GroupElement) -> int:
@@ -325,20 +319,10 @@ def _dihedral_census(
         coeffs[crossings] += count * size
         if is_strict:
             strict += count * size
-    total = sum(coeffs)
-
-    def summary(order: int, sizes: Counter) -> OrbitSummary:
-        return OrbitSummary(
-            n=n,
-            group_order=order,
-            orbit_count=sum(sizes.values()),
-            orbit_size_histogram=dict(sorted(sizes.items())),
-        )
-
     return (
-        summary(1, Counter({1: total})),
-        summary(2 * n, cyclic_sizes),
-        summary(group.order, dihedral_sizes),
+        _summary(n, 1, {1: sum(coeffs)}),
+        _summary(n, 2 * n, cyclic_sizes),
+        _summary(n, group.order, dihedral_sizes),
         CrossingPolynomial(n=n, coefficients=tuple(coeffs)),
         strict,
     )

@@ -293,7 +293,7 @@ def assert_split_by_element(group):
     """_class_sizes agrees with typing every element by a plain walk, in
     the order of each class's first element."""
     sizes = _class_sizes(group.size // 2, group, "test")
-    expected = Counter(reference_cycle_type(g) for g in group)
+    expected = Counter(reference_cycle_type(g).parts for g in group)
     assert sizes == expected
     assert list(sizes) == list(expected)
 
@@ -313,7 +313,7 @@ class TestClassSizes:
     def test_identity_group(self, points):
         group = make_standard_group("identity", points)
         assert_split_by_element(group)
-        assert _class_sizes(points // 2, group, "test") == {CycleType(((1, points),)): 1}
+        assert _class_sizes(points // 2, group, "test") == {((1, points),): 1}
 
     @settings(max_examples=6, deadline=None)
     @given(st.sampled_from(["cyclic", "dihedral"]), st.integers(129, 160))

@@ -163,12 +163,12 @@ class TestClassSum:
               (CycleType.from_counts({1: 3, 2: 2}), 3), (CycleType.from_counts({3: 2, 4: 7}), 4)])
     def test_matches_per_type_reference(self, classes):
         expected = sum(size * reference_fixed_count(ct) for ct, size in classes)
-        assert _class_sum(classes, 1, "test") == expected
+        assert _class_sum([(ct.parts, size) for ct, size in classes], 1, "test") == expected
 
     def test_division_is_exact(self):
         # 2^1 fixes its one matching, which 2 does not divide
         with pytest.raises(ConsistencyError):
-            _class_sum([(CycleType(((2, 1),)), 1)], 2, "test")
+            _class_sum([(((2, 1),), 1)], 2, "test")
 
     def test_standard_classes(self, monkeypatch):
         # the classes the closed forms pass are those of the built groups
@@ -188,13 +188,34 @@ class TestClassSum:
                 classes, order = calls[0]
                 group = make_standard_group(kind, 2 * n)
                 passed = Counter()
-                for ct, size in classes:
-                    passed[ct.parts] += size
+                for parts, size in classes:
+                    passed[parts] += size
                 # D_2's four elements act on 2 points as only two permutations
                 scale = 2 if (kind, n) == ("dihedral", 1) else 1
                 sizes = _class_sizes(n, group, "test").items()
-                assert passed == {ct.parts: scale * size for ct, size in sizes}, (kind, n)
+                assert passed == {parts: scale * size for parts, size in sizes}, (kind, n)
                 assert order == scale * group.order, (kind, n)
+
+    def test_counting_builds_no_cycle_type(self, monkeypatch):
+        # the counting path passes plain parts; only cycle_type_of, whose
+        # cache the first counts warm, hands out CycleTypes
+        built = {}
+        for n in range(1, 13):
+            for kind in ("identity", "cyclic", "dihedral"):
+                built[kind, n] = make_standard_group(kind, 2 * n)
+            built["half-turn", n] = generate_group([GroupElement.rotation(2 * n, n)], 2 * n)
+        expected = {key: burnside_count(key[1], group) for key, group in built.items()}
+
+        def refuse(self):
+            raise AssertionError(f"built {self.parts}")
+
+        monkeypatch.setattr(CycleType, "_check", refuse)
+        for n in range(1, 13):
+            assert cyclic_count(n) == expected["cyclic", n]
+            assert dihedral_count(n) == expected["dihedral", n]
+            rotations = sum(rotation_fixed_count(n, i) * euler_phi(i) for i in divisors(2 * n))
+            assert rotations == 2 * n * expected["cyclic", n]
+        assert {key: burnside_count(key[1], group) for key, group in built.items()} == expected
 
 
 class TestRotationFixedCount:

@@ -116,6 +116,10 @@ def test_pickle_round_trip(cls, fields, text):
         lambda: CycleType(parts=((2, 1), (1, 1))),
         lambda: CycleType(((1, 0),)),
         lambda: CycleType(((2, 1), (2, 3))),
+        # a length or multiplicity that is not exactly an int
+        lambda: CycleType(((1.5, 2),)),
+        lambda: CycleType(((2, True),)),
+        lambda: CycleType(((2.0, 1),)),
         lambda: GroupElement(images=(0, 0)),
         lambda: GroupElement((1, 2)),
         lambda: ChordDiagram(partner=(1, 0, 2)),
@@ -134,7 +138,8 @@ def test_pickle_round_trip(cls, fields, text):
         lambda: ChordDiagram.from_chords([(0.0, 1)]),
         lambda: ChordDiagram.from_chords([(0, True)]),
     ],
-    ids=["ct-unsorted", "ct-zero", "ct-duplicate", "ge-repeat", "ge-range",
+    ids=["ct-unsorted", "ct-zero", "ct-duplicate", "ct-float", "ct-bool", "ct-whole-float",
+         "ge-repeat", "ge-range",
          "cd-odd", "cd-fixed-point", "cd-not-involution", "ge-float", "ge-bool",
          "ge-str", "cd-float", "cd-bool", "fc-negative-size", "fc-float-size",
          "fc-bool-size", "fc-float-endpoint", "fc-bool-endpoint"],
