@@ -8,7 +8,9 @@ that evaluates the closed forms, computes it from each class's parts. The
 split into classes (_class_sizes) types each element with one walk of its
 cycles that move points: their sorted lengths fix the cycle type, since
 every other point is fixed, and a cache keyed by them returns one
-CycleType per type.
+CycleType per type. The CLI's count, _generated_count, makes the same
+split straight from the closure's image rows of a group given by its
+generators, so it builds no element, sorts nothing and holds no PermGroup.
 
 The wreath class sum is a second, independent derivation of the same
 count. A perfect matching of [0, 2n) can be written as an n x 2 matrix of
@@ -28,8 +30,9 @@ import math
 from collections import Counter
 from itertools import product
 from operator import attrgetter
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Sequence
 
+from . import groups
 from .closed_forms import _class_sum
 from .errors import DomainError, Record, _require_int, exact_div
 from .groups import CycleType, PermGroup, cycle_type_of
@@ -49,8 +52,10 @@ class WreathTypeDistribution(Record):
 
 
 def falling_factorial(a: int, k: int) -> int:
-    """a * (a-1) * ... * (a-k+1); 1 for k == 0, 0 as soon as the product
-    passes through zero (so 0 whenever k > a >= 0)."""
+    """a * (a-1) * ... * (a-k+1) for a, k >= 0; 1 for k == 0, 0 as soon as
+    the product passes through zero (so 0 whenever k > a)."""
+    _require_int(a, 0, "falling_factorial requires a >= 0")
+    _require_int(k, 0, "falling_factorial requires k >= 0")
     result = 1
     for t in range(k):
         result *= a - t
@@ -185,6 +190,25 @@ def burnside_count(n: int, group: PermGroup) -> int:
     the group order."""
     sizes = _class_sizes(n, group, "burnside_count")
     return _class_sum(sizes.items(), group.order, "burnside_count")
+
+
+def _generated_count(n: int, generators: Sequence[Sequence[int]]) -> int:
+    """burnside_count of the group that the image rows generate on 2n
+    points, read from the closure's rows themselves: no GroupElement, sort
+    or PermGroup is built.
+
+    The rows must be permutations of [0, 2n), as the CLI's loaders check
+    them. Each closure row is keyed by the sorted lengths of its cycles that
+    move points, which with 2n fix its cycle type, and the group order is
+    the number of rows.
+    """
+    _require_int(n, 1, "_generated_count requires n >= 1")
+    points = 2 * n
+    rows = groups._closure_rows(generators, points)
+    moved = Counter(map(groups._moved_lengths, rows))
+    sizes = [(groups._cycle_type_of_moved(points, lengths).parts, size)
+             for lengths, size in moved.items()]
+    return _class_sum(sizes, len(rows), "burnside_count")
 
 
 def _wreath_class_sum(n: int, group: PermGroup) -> int:

@@ -73,6 +73,16 @@ MAX_GROUP_FILE_BYTES = 8 * 2**20
 def load_group_file(path: str, points_expected: int | None = None) -> PermGroup:
     """Read {"points": 2n, "elements": [[1-based images], ...]} and close it
     under composition."""
+    from . import groups
+
+    points, rows = _group_file_rows(path, points_expected)
+    return groups.generate_group([groups.GroupElement.from_images(row) for row in rows], points)
+
+
+def _group_file_rows(path: str, points_expected: int | None) -> tuple[int, list[tuple[int, ...]]]:
+    """The points and the 0-based image rows of a group file, with every
+    check of load_group_file, the closure's bound on the listed entries
+    included."""
     import json  # a few ms of start-up, so only where JSON is read or written
 
     from . import groups
@@ -122,8 +132,7 @@ def load_group_file(path: str, points_expected: int | None = None) -> PermGroup:
             f"group file lists {len(rows)} elements of {points} points, more than"
             f" {groups.MAX_CLOSURE_ENTRIES} image entries"
         )
-    elements = [groups.GroupElement.from_images([x - 1 for x in row]) for row in rows]
-    return groups.generate_group(elements, points)
+    return points, [tuple([x - 1 for x in row]) for row in rows]
 
 
 def _resolve_group(args, n: int) -> PermGroup:
@@ -132,6 +141,16 @@ def _resolve_group(args, n: int) -> PermGroup:
     from .groups import make_standard_group
 
     return make_standard_group(args.group, 2 * n)
+
+
+def _generators(args, n: int) -> list[tuple[int, ...]]:
+    """The image rows that generate the group of _resolve_group, with the
+    same checks, for a count that needs no element."""
+    if getattr(args, "group_file", None):
+        return _group_file_rows(args.group_file, 2 * n)[1]
+    from .groups import _standard_generators
+
+    return _standard_generators(args.group, 2 * n)
 
 
 # Pieces of output that _write joins into one write, whatever the format:
@@ -201,7 +220,7 @@ def _cmd_count(args) -> int:
     elif method == "burnside":
         from . import burnside
 
-        value = burnside.burnside_count(n, _resolve_group(args, n))
+        value = burnside._generated_count(n, _generators(args, n))
     else:
         from . import oracle
 

@@ -29,7 +29,8 @@ _Parts = tuple[tuple[int, int], ...]
 
 
 def double_factorial(m: int) -> int:
-    """m!! for odd m, with (-1)!! == 1."""
+    """m!! for m >= -1, with (-1)!! == 0!! == 1."""
+    _require_int(m, -1, "double_factorial requires m >= -1")
     result = 1
     while m > 1:
         result *= m

@@ -274,8 +274,9 @@ def _walk(
     """
     if size % 2:
         raise DomainError("matchings need an even number of points")
-    if first is not None and not 1 <= first < size:
-        raise DomainError("first_partner must be in [1, size)")
+    message = "first_partner must be in [1, size)"
+    if first is not None and _require_int(first, 1, message) >= size:
+        raise DomainError(message)
     partner = [-1] * size
     tied: list[_Tied] = []  # with no table, every leaf's stabilizer
     if not size:

@@ -2,6 +2,13 @@
 
 Points on the circle are numbered 0..2n-1 internally; every serialized or
 displayed form is 1-based.
+
+A group is the closure of its generators. _closure_rows finds the image
+rows of its elements, as bytes up to 256 points and tuples above, under
+the one bound MAX_CLOSURE_ENTRIES; generate_group sorts them and wraps
+each in a GroupElement. A count that needs only cycle types reads the rows
+themselves: _moved_lengths walks a row's cycles that move points, and
+cycle_type_of types an element by the same walk.
 """
 
 from __future__ import annotations
@@ -15,14 +22,15 @@ from .errors import DomainError, Record, ResourceLimitError, _require_int
 
 STANDARD_GROUP_KINDS = ("identity", "cyclic", "dihedral")
 
-# A group stores one image tuple of `points` entries per element; past this
-# many entries in all a closure stops, and a standard group or a group file
-# is refused before it is built. The tuples hold 8-byte slots: up to 256
-# points their ints are the small ints Python shares, and above it the
-# closure's itemgetter picks every entry from the identity's own ints, so the
-# bound is about 80 MB of slots. D_2236 (`count --method burnside --group
-# dihedral --n 1118`), the largest dihedral group under it, peaks at 91 MB RSS
-# and takes about 1.8 s as a process on a 2-vCPU machine.
+# A closure stores one image row of `points` entries per element; past this
+# many entries in all it stops, and a standard group or a group file is
+# refused before it is built. Up to 256 points a row is bytes, and a
+# GroupElement's tuple holds the small ints Python shares; above it a row is
+# a tuple of 8-byte slots whose ints the closure's itemgetter picks from the
+# identity's own, so the bound is about 80 MB of slots. D_2236 (`count
+# --method burnside --group dihedral --n 1118`), the largest dihedral group
+# under it, peaks at 91 MB RSS and takes about 1.3 s as a process on a 2-vCPU
+# machine.
 MAX_CLOSURE_ENTRIES = 10**7
 
 
@@ -213,11 +221,18 @@ def partitions(n: int) -> Iterator[CycleType]:
 def cycle_type_of(g: GroupElement) -> CycleType:
     """Multiset of cycle lengths of g.
 
-    One walk of the cycles that move points gives their sorted lengths; the
-    other points are fixed, so those lengths and the number of points fix
-    the type, and a cache keyed by them returns one CycleType per type.
+    The sorted lengths of the cycles that move points (_moved_lengths) and
+    the number of points fix the type, since every other point is fixed,
+    and a cache keyed by them returns one CycleType per type.
     """
     images = g.images
+    return _cycle_type_of_moved(len(images), _moved_lengths(images))
+
+
+def _moved_lengths(images: Sequence[int]) -> tuple[int, ...]:
+    """The sorted lengths of the cycles that move points of the permutation
+    v -> images[v], from one walk of those cycles; images may be a tuple or
+    the bytes rows of a closure."""
     size = len(images)
     seen = [False] * size
     lengths = []
@@ -235,7 +250,7 @@ def cycle_type_of(g: GroupElement) -> CycleType:
             length += 1
         lengths.append(length)
     lengths.sort()
-    return _cycle_type_of_moved(size, tuple(lengths))
+    return tuple(lengths)
 
 
 @lru_cache(maxsize=4096)
@@ -248,15 +263,23 @@ def _cycle_type_of_moved(size: int, moved: tuple[int, ...]) -> CycleType:
 
 def make_standard_group(kind: str, points: int) -> PermGroup:
     """The identity group, the rotation group, or the full rotation and
-    reflection group on an even number of circle points.
+    reflection group on an even number of circle points: the closure of
+    the generators of _standard_generators.
 
-    The group is the closure of its generators: none for the identity
-    group, the rotation by one point, and with it the reflection through
-    point 0. For points >= 4 the dihedral group has order 2*points; on 2
-    points the reflection coincides with the identity, so the group has
-    order 2. Raises ResourceLimitError, before building anything, when the
-    elements would store more than MAX_CLOSURE_ENTRIES image entries.
+    For points >= 4 the dihedral group has order 2*points; on 2 points the
+    reflection coincides with the identity, so the group has order 2.
+    Raises ResourceLimitError, before building anything, when the elements
+    would store more than MAX_CLOSURE_ENTRIES image entries.
     """
+    generators = _standard_generators(kind, points)
+    return generate_group([GroupElement._unchecked(g) for g in generators], points)
+
+
+def _standard_generators(kind: str, points: int) -> list[tuple[int, ...]]:
+    """The image rows that generate a standard group: none for the identity
+    group, the rotation by one point, and with it the reflection through
+    point 0. The checks of make_standard_group, including its bound on the
+    entries the closure would store, come first."""
     message = "points must be even and >= 2"
     if _require_int(points, 2, message) % 2:
         raise DomainError(message)
@@ -270,44 +293,61 @@ def make_standard_group(kind: str, points: int) -> PermGroup:
         raise DomainError(f"unknown group kind {kind!r}")
     generators = []
     if kind != "identity":
-        generators.append(GroupElement.rotation(points, 1))
+        generators.append(GroupElement.rotation(points, 1).images)
     if kind == "dihedral":
-        generators.append(GroupElement.reflection(points, 0))
-    return generate_group(generators, points)
+        generators.append(GroupElement.reflection(points, 0).images)
+    return generators
 
 
 def generate_group(generators: Sequence[GroupElement], points: int) -> PermGroup:
     """Closure of the generators under composition (hence under inverse,
     the group being finite), sorted by images. Always contains the identity.
 
-    Raises ResourceLimitError once the elements found would store more than
-    MAX_CLOSURE_ENTRIES image entries. This is the one bound: on 9 points or
-    fewer no group passes it (9! * 9 < 10^7 entries), and on more it allows
-    at most 10^6 elements.
+    The rows come from _closure_rows, with its checks and its bound.
     """
-    for g in generators:
-        if g.size != points:
+    rows = _closure_rows([g.images for g in generators], points)
+    # bytes sort as their tuples do; each entry is replaced in place, so the
+    # two encodings are never both held in full
+    ordered = sorted(rows)
+    del rows
+    for idx, images in enumerate(ordered):
+        ordered[idx] = GroupElement._unchecked(tuple(images))
+    return PermGroup(points, tuple(ordered))
+
+
+def _closure_rows(generators: Sequence[Sequence[int]], points: int) -> set:
+    """The image row of every element of the group that the generators,
+    image rows of permutations of [0, points), generate: bytes up to 256
+    points, tuples above, in no order. Always contains the identity's.
+
+    Raises ResourceLimitError once the rows found would store more than
+    MAX_CLOSURE_ENTRIES image entries. This is the one bound: on 9 points
+    or fewer no group passes it (9! * 9 < 10^7 entries), and on more it
+    allows at most 10^6 elements.
+    """
+    for images in generators:
+        if len(images) != points:
             raise DomainError(
-                f"generator size {g.size} does not match points={points}"
+                f"generator size {len(images)} does not match points={points}"
             )
     if points > MAX_CLOSURE_ENTRIES:
         raise ResourceLimitError(_entries_message(points))
     if points < 2:
         # the identity is the only permutation of 0 or 1 points
-        return PermGroup(points, (GroupElement.identity(points),))
+        return {bytes(range(points))}
     limit = MAX_CLOSURE_ENTRIES // points
     if points <= 256:
         # g * current: bytes.translate maps each entry through g's images in
         # C, and a bytes object caches its hash for the set
         identity: bytes | tuple[int, ...] = bytes(range(points))
         steps = [
-            methodcaller("translate", bytes(g.images).ljust(256, b"\0"))
-            for g in generators
+            methodcaller("translate", bytes(images).ljust(256, b"\0"))
+            for images in generators
         ]
     else:
         # current * g picks current's entries at g's images
         identity = tuple(range(points))
-        steps = [itemgetter(*g.images) for g in generators]
+        steps = [itemgetter(*images) for images in generators]
     seen = {identity}
     frontier = [identity]
     while frontier:
@@ -319,13 +359,7 @@ def generate_group(generators: Sequence[GroupElement], points: int) -> PermGroup
                 if len(seen) > limit:
                     raise ResourceLimitError(_entries_message(points))
                 frontier.append(nxt)
-    # bytes sort as their tuples do; each entry is replaced in place, so the
-    # two encodings are never both held in full
-    ordered = sorted(seen)
-    del seen
-    for idx, images in enumerate(ordered):
-        ordered[idx] = GroupElement._unchecked(tuple(images))
-    return PermGroup(points, tuple(ordered))
+    return seen
 
 
 def _entries_message(points: int) -> str:

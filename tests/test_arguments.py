@@ -4,7 +4,7 @@ value that is not an int, or is a bool, with DomainError."""
 
 import pytest
 
-from chorddia import burnside, classic, cli, closed_forms, groups, oracle
+from chorddia import burnside, classic, cli, closed_forms, diagrams, groups, oracle
 from chorddia import ChordDiagram, DomainError, GroupElement, all_diagrams
 from chorddia.errors import _require_int
 
@@ -13,6 +13,7 @@ ROTATION_4 = GroupElement.rotation(4, 1)
 
 # each call puts the value into one argument and keeps the others valid
 CALLS = {
+    "double_factorial": closed_forms.double_factorial,
     "diagram_count": closed_forms.diagram_count,
     "rotation_fixed_count n": lambda v: closed_forms.rotation_fixed_count(v, 1),
     "rotation_fixed_count i": lambda v: closed_forms.rotation_fixed_count(3, v),
@@ -28,14 +29,19 @@ CALLS = {
     "_crossing_transfers": classic._crossing_transfers,
     "_strict_inclusion_exclusion": classic._strict_inclusion_exclusion,
     "strict_sequences": classic.strict_sequences,
+    "falling_factorial a": lambda v: burnside.falling_factorial(v, 2),
+    "falling_factorial k": lambda v: burnside.falling_factorial(5, v),
     "wreath_cycle_type_distribution": burnside.wreath_cycle_type_distribution,
     "burnside_count": lambda v: burnside.burnside_count(v, CYCLIC_4),
     "_wreath_class_sum": lambda v: burnside._wreath_class_sum(v, CYCLIC_4),
+    "_generated_count": lambda v: burnside._generated_count(v, []),
     "euler_phi": groups.euler_phi,
     "divisors": groups.divisors,
     "partitions": lambda v: list(groups.partitions(v)),
     "make_standard_group": lambda v: groups.make_standard_group("cyclic", v),
     "all_diagrams": lambda v: list(all_diagrams(v)),
+    "all_diagrams first_partner": lambda v: next(all_diagrams(3, v)),
+    "matchings first_partner": lambda v: next(diagrams.matchings(6, v)),
     "from_chords size": lambda v: ChordDiagram.from_chords([], size=v),
     "from_json_dict n": lambda v: ChordDiagram.from_json_dict({"n": v, "chords": []}),
     "orbit_count n": lambda v: oracle.orbit_count(v, CYCLIC_4),
@@ -54,6 +60,23 @@ CALLS = {
 def test_refuses_what_is_not_an_int(call, value):
     with pytest.raises(DomainError):
         call(value)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: closed_forms.double_factorial(-3),
+        lambda: burnside.falling_factorial(-1, 2),
+        lambda: burnside.falling_factorial(5, -1),
+        lambda: next(all_diagrams(3, 0)),
+        lambda: next(all_diagrams(3, 6)),
+    ],
+    ids=["double_factorial", "falling_factorial a", "falling_factorial k",
+         "first_partner 0", "first_partner size"],
+)
+def test_refuses_below_or_past_the_range(call):
+    with pytest.raises(DomainError):
+        call()
 
 
 @pytest.mark.parametrize("value", [0, -1, 1.0, False, None, "1"])

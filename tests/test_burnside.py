@@ -30,6 +30,7 @@ from chorddia import (
 )
 from chorddia import burnside
 from chorddia.burnside import _class_sizes, _wreath_class_sum
+from test_groups import conjugated_dihedral
 
 STANDARD_FORMULAS = {
     "identity": diagram_count,
@@ -229,17 +230,28 @@ class TestWreathClassSum:
 
 
 @st.composite
-def small_groups(draw, max_points=8, min_points=2):
-    """A group closed from up to three random generators on an even number
-    of points from min_points to max_points; closures above 2000 elements
-    (most of S_8) are rejected to keep the oracle quick."""
+def small_generators(draw, max_points=8, min_points=2):
+    """Up to three random image lists on an even number of points from
+    min_points to max_points, as (points, image lists)."""
     points = draw(st.sampled_from(range(min_points, max_points + 1, 2)))
-    images = draw(st.lists(st.permutations(range(points)), max_size=3))
+    return points, draw(st.lists(st.permutations(range(points)), max_size=3))
+
+
+def close_small(points, images):
+    """The group the image lists generate; closures above 2000 elements
+    (most of S_8) are rejected to keep the oracle quick."""
     try:
         with patch.object(groups, "MAX_CLOSURE_ENTRIES", 2000 * points):
             return generate_group([GroupElement.from_images(p) for p in images], points)
     except ResourceLimitError:
         assume(False)
+
+
+@st.composite
+def small_groups(draw, max_points=8, min_points=2):
+    """A group closed from up to three random generators (small_generators,
+    close_small)."""
+    return close_small(*draw(small_generators(max_points, min_points)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -249,6 +261,70 @@ def test_three_derivations_agree_on_random_groups(group):
     expected = orbit_count(n, group).orbit_count
     assert burnside_count(n, group) == expected
     assert _wreath_class_sum(n, group) == expected
+
+
+class TestGeneratedCount:
+    """_generated_count, the CLI's Burnside count, reads the closure's rows
+    and must agree with burnside_count of the closed group."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_generators(max_points=10))
+    def test_matches_burnside_count_of_the_group(self, case):
+        points, images = case
+        group = close_small(points, images)
+        with patch.object(groups, "MAX_CLOSURE_ENTRIES", 2000 * points):
+            got = burnside._generated_count(points // 2, images)
+        assert got == burnside_count(points // 2, group)
+
+    # 256 points is the largest closure stored as bytes, 258 the smallest
+    # as tuples
+    @pytest.mark.parametrize("points, row_type", [(254, bytes), (256, bytes), (258, tuple)])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_conjugated_dihedral_groups(self, points, row_type, seed):
+        gens = conjugated_dihedral(points, seed)
+        images = [g.images for g in gens]
+        rows = groups._closure_rows(images, points)
+        assert len(rows) == 2 * points
+        assert {type(row) for row in rows} == {row_type}
+        n = points // 2
+        got = burnside._generated_count(n, images)
+        assert got == burnside_count(n, generate_group(gens, points))
+        # a relabelled dihedral group has the dihedral group's cycle types
+        assert got == dihedral_count(n)
+
+    @pytest.mark.parametrize("points", [8, 258])
+    def test_same_bound_and_message_as_the_closure(self, monkeypatch, points):
+        # S_4 on points 0..3: 24 elements of `points` entries
+        images = [[1, 0, 2, 3, *range(4, points)], [1, 2, 3, 0, *range(4, points)]]
+        gens = [GroupElement.from_images(p) for p in images]
+        n = points // 2
+        monkeypatch.setattr(groups, "MAX_CLOSURE_ENTRIES", 24 * points)
+        assert burnside._generated_count(n, images) == burnside_count(
+            n, generate_group(gens, points))
+        monkeypatch.setattr(groups, "MAX_CLOSURE_ENTRIES", 24 * points - 1)
+        message = f"^group closure on {points} points exceeded {24 * points - 1} stored image entries$"
+        with pytest.raises(ResourceLimitError, match=message):
+            burnside._generated_count(n, images)
+        with pytest.raises(ResourceLimitError, match=message):
+            generate_group(gens, points)
+
+    def test_same_size_check_as_the_closure(self):
+        message = "^generator size 4 does not match points=6$"
+        with pytest.raises(DomainError, match=message):
+            burnside._generated_count(3, [[1, 2, 3, 0]])
+        with pytest.raises(DomainError, match=message):
+            generate_group([GroupElement.rotation(4, 1)], 6)
+
+    def test_builds_no_element(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a GroupElement was built")
+
+        monkeypatch.setattr(GroupElement, "_unchecked", refuse)
+        monkeypatch.setattr(GroupElement, "_check", refuse)
+        # S_6 on 6 of 8 points (720 elements): points 6 and 7 form a chord
+        # or not, and the rest of the matching is the same up to S_6
+        images = [[1, 0, 2, 3, 4, 5, 6, 7], [1, 2, 3, 4, 5, 0, 6, 7]]
+        assert burnside._generated_count(4, images) == 2
 
 
 @settings(max_examples=60, deadline=None)

@@ -137,7 +137,7 @@ class TestCount:
         assert capsys.readouterr().out == "79\n"
 
     def test_burnside_work_bound(self, tmp_path, capsys, monkeypatch):
-        from chorddia import cli, groups
+        from chorddia import burnside, cli, groups
 
         path = tmp_path / "c10.json"
         path.write_text(json.dumps({"points": 10, "elements": [[2, 3, 4, 5, 6, 7, 8, 9, 10, 1]]}))
@@ -153,6 +153,11 @@ class TestCount:
         monkeypatch.setattr(groups, "generate_group", refuse)
         monkeypatch.setattr(groups, "make_standard_group", refuse)
         monkeypatch.setattr(cli, "load_group_file", refuse)
+        # the count's own path: its generators, closure rows and class sum
+        monkeypatch.setattr(groups, "_standard_generators", refuse)
+        monkeypatch.setattr(cli, "_group_file_rows", refuse)
+        monkeypatch.setattr(groups, "_closure_rows", refuse)
+        monkeypatch.setattr(burnside, "_generated_count", refuse)
         for extra in (["--group", "identity"], ["--group-file", str(path)]):
             assert run(["count", "--n", "6", "--method", "burnside", *extra]) == 3
             captured = capsys.readouterr()
@@ -161,6 +166,29 @@ class TestCount:
         # the formula path has the same bound
         assert run(["count", "--group", "dihedral", "--n", "6"]) == 3
         assert "formula count capped at --n <= 5, got 6" in capsys.readouterr().err
+
+    def test_burnside_count_builds_no_element(self, tmp_path, capsys, monkeypatch):
+        from chorddia import groups
+
+        # S_8 on points 1..8 of 16, from (1 2) and (1 2 ... 8): 40,320 elements
+        path = tmp_path / "s8.json"
+        swap = [2, 1, *range(3, 17)]
+        cycle = [*range(2, 9), 1, *range(9, 17)]
+        path.write_text(json.dumps({"points": 16, "elements": [swap, cycle]}))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a GroupElement was built per element")
+
+        monkeypatch.setattr(groups.GroupElement, "_unchecked", refuse)
+        assert run(["count", "--n", "8", "--group-file", str(path)]) == 0
+        assert capsys.readouterr().out == "764\n"
+        # a standard group builds its generators, and no element of the closure
+        assert run(["count", "--group", "dihedral", "--n", "6", "--method", "burnside"]) == 0
+        assert capsys.readouterr().out == "554\n"
+        # nor does a group file build its generators
+        monkeypatch.setattr(groups.GroupElement, "_check", refuse)
+        assert run(["count", "--n", "8", "--group-file", str(path)]) == 0
+        assert capsys.readouterr().out == "764\n"
 
     @pytest.mark.parametrize("source", ["identity", "empty-file"])
     def test_huge_burnside_count_exits_before_any_work(self, tmp_path, source):
