@@ -8,9 +8,10 @@ that evaluates the closed forms, computes it from each class's parts. The
 split into classes (_class_sizes) types each element with one walk of its
 cycles that move points: their sorted lengths fix the cycle type, since
 every other point is fixed, and a cache keyed by them returns one
-CycleType per type. The CLI's count, _generated_count, makes the same
-split straight from the closure's image rows of a group given by its
-generators, so it builds no element, sorts nothing and holds no PermGroup.
+CycleType per type. The CLI's count of a group file, _generated_count,
+makes the same split straight from the closure's image rows of the group
+its generators generate, so it builds no element, sorts nothing and holds
+no PermGroup.
 
 The wreath class sum is a second, independent derivation of the same
 count. A perfect matching of [0, 2n) can be written as an n x 2 matrix of
@@ -197,10 +198,10 @@ def _generated_count(n: int, generators: Sequence[Sequence[int]]) -> int:
     points, read from the closure's rows themselves: no GroupElement, sort
     or PermGroup is built.
 
-    The rows must be permutations of [0, 2n), as the CLI's loaders check
-    them. Each closure row is keyed by the sorted lengths of its cycles that
-    move points, which with 2n fix its cycle type, and the group order is
-    the number of rows.
+    The rows must be permutations of [0, 2n), as the CLI's group-file
+    reader checks them. Each closure row is keyed by the sorted lengths of
+    its cycles that move points, which with 2n fix its cycle type, and the
+    group order is the number of rows.
     """
     _require_int(n, 1, "_generated_count requires n >= 1")
     points = 2 * n

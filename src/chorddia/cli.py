@@ -143,16 +143,6 @@ def _resolve_group(args, n: int) -> PermGroup:
     return make_standard_group(args.group, 2 * n)
 
 
-def _generators(args, n: int) -> list[tuple[int, ...]]:
-    """The image rows that generate the group of _resolve_group, with the
-    same checks, for a count that needs no element."""
-    if getattr(args, "group_file", None):
-        return _group_file_rows(args.group_file, 2 * n)[1]
-    from .groups import _standard_generators
-
-    return _standard_generators(args.group, 2 * n)
-
-
 # Pieces of output that _write joins into one write, whatever the format:
 # one system call per chunk where stdout is unbuffered, so a count, a table
 # or a JSON document is one write, and a listing holds one chunk of lines
@@ -220,7 +210,14 @@ def _cmd_count(args) -> int:
     elif method == "burnside":
         from . import burnside
 
-        value = burnside._generated_count(n, _generators(args, n))
+        if args.group_file:
+            # a file may list a group of up to 10^6 elements (S_8 on 16 points
+            # has 40,320): its count reads the closure's image rows and builds
+            # no element. A standard group has 2n or 4n elements, which
+            # burnside_count types one by one.
+            value = burnside._generated_count(n, _group_file_rows(args.group_file, 2 * n)[1])
+        else:
+            value = burnside.burnside_count(n, _resolve_group(args, n))
     else:
         from . import oracle
 

@@ -263,23 +263,15 @@ def _cycle_type_of_moved(size: int, moved: tuple[int, ...]) -> CycleType:
 
 def make_standard_group(kind: str, points: int) -> PermGroup:
     """The identity group, the rotation group, or the full rotation and
-    reflection group on an even number of circle points: the closure of
-    the generators of _standard_generators.
+    reflection group on an even number of circle points.
 
-    For points >= 4 the dihedral group has order 2*points; on 2 points the
-    reflection coincides with the identity, so the group has order 2.
-    Raises ResourceLimitError, before building anything, when the elements
-    would store more than MAX_CLOSURE_ENTRIES image entries.
-    """
-    generators = _standard_generators(kind, points)
-    return generate_group([GroupElement._unchecked(g) for g in generators], points)
-
-
-def _standard_generators(kind: str, points: int) -> list[tuple[int, ...]]:
-    """The image rows that generate a standard group: none for the identity
+    The group is the closure of its generators: none for the identity
     group, the rotation by one point, and with it the reflection through
-    point 0. The checks of make_standard_group, including its bound on the
-    entries the closure would store, come first."""
+    point 0. For points >= 4 the dihedral group has order 2*points; on 2
+    points the reflection coincides with the identity, so the group has
+    order 2. Raises ResourceLimitError, before building anything, when the
+    elements would store more than MAX_CLOSURE_ENTRIES image entries.
+    """
     message = "points must be even and >= 2"
     if _require_int(points, 2, message) % 2:
         raise DomainError(message)
@@ -293,10 +285,10 @@ def _standard_generators(kind: str, points: int) -> list[tuple[int, ...]]:
         raise DomainError(f"unknown group kind {kind!r}")
     generators = []
     if kind != "identity":
-        generators.append(GroupElement.rotation(points, 1).images)
+        generators.append(GroupElement.rotation(points, 1))
     if kind == "dihedral":
-        generators.append(GroupElement.reflection(points, 0).images)
-    return generators
+        generators.append(GroupElement.reflection(points, 0))
+    return generate_group(generators, points)
 
 
 def generate_group(generators: Sequence[GroupElement], points: int) -> PermGroup:

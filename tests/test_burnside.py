@@ -315,17 +315,6 @@ class TestGeneratedCount:
         with pytest.raises(DomainError, match=message):
             generate_group([GroupElement.rotation(4, 1)], 6)
 
-    def test_builds_no_element(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("a GroupElement was built")
-
-        monkeypatch.setattr(GroupElement, "_unchecked", refuse)
-        monkeypatch.setattr(GroupElement, "_check", refuse)
-        # S_6 on 6 of 8 points (720 elements): points 6 and 7 form a chord
-        # or not, and the rest of the matching is the same up to S_6
-        images = [[1, 0, 2, 3, 4, 5, 6, 7], [1, 2, 3, 4, 5, 0, 6, 7]]
-        assert burnside._generated_count(4, images) == 2
-
 
 @settings(max_examples=60, deadline=None)
 @given(small_groups(max_points=12))

@@ -153,8 +153,7 @@ class TestCount:
         monkeypatch.setattr(groups, "generate_group", refuse)
         monkeypatch.setattr(groups, "make_standard_group", refuse)
         monkeypatch.setattr(cli, "load_group_file", refuse)
-        # the count's own path: its generators, closure rows and class sum
-        monkeypatch.setattr(groups, "_standard_generators", refuse)
+        # a group file's count: its rows, their closure and class sum
         monkeypatch.setattr(cli, "_group_file_rows", refuse)
         monkeypatch.setattr(groups, "_closure_rows", refuse)
         monkeypatch.setattr(burnside, "_generated_count", refuse)
@@ -167,28 +166,33 @@ class TestCount:
         assert run(["count", "--group", "dihedral", "--n", "6"]) == 3
         assert "formula count capped at --n <= 5, got 6" in capsys.readouterr().err
 
-    def test_burnside_count_builds_no_element(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize(
+        "points, generators, expected",
+        [
+            # S_8 on points 1..8 of 16, from (1 2) and (1 2 ... 8): 40,320 elements
+            (16, [[2, 1, *range(3, 17)], [*range(2, 9), 1, *range(9, 17)]], "764"),
+            # S_6 on points 1..6 of 8 (720 elements): points 7 and 8 form a
+            # chord or not, and the rest of the matching is the same up to S_6
+            (8, [[2, 1, 3, 4, 5, 6, 7, 8], [2, 3, 4, 5, 6, 1, 7, 8]], "2"),
+        ],
+        ids=["S_8", "S_6"],
+    )
+    def test_group_file_count_builds_no_element(
+        self, tmp_path, capsys, monkeypatch, points, generators, expected
+    ):
         from chorddia import groups
 
-        # S_8 on points 1..8 of 16, from (1 2) and (1 2 ... 8): 40,320 elements
-        path = tmp_path / "s8.json"
-        swap = [2, 1, *range(3, 17)]
-        cycle = [*range(2, 9), 1, *range(9, 17)]
-        path.write_text(json.dumps({"points": 16, "elements": [swap, cycle]}))
+        path = tmp_path / "group.json"
+        path.write_text(json.dumps({"points": points, "elements": generators}))
 
         def refuse(*args, **kwargs):
-            raise AssertionError("a GroupElement was built per element")
+            raise AssertionError("a GroupElement was built")
 
+        # neither an element of the closure nor a generator
         monkeypatch.setattr(groups.GroupElement, "_unchecked", refuse)
-        assert run(["count", "--n", "8", "--group-file", str(path)]) == 0
-        assert capsys.readouterr().out == "764\n"
-        # a standard group builds its generators, and no element of the closure
-        assert run(["count", "--group", "dihedral", "--n", "6", "--method", "burnside"]) == 0
-        assert capsys.readouterr().out == "554\n"
-        # nor does a group file build its generators
         monkeypatch.setattr(groups.GroupElement, "_check", refuse)
-        assert run(["count", "--n", "8", "--group-file", str(path)]) == 0
-        assert capsys.readouterr().out == "764\n"
+        assert run(["count", "--n", str(points // 2), "--group-file", str(path)]) == 0
+        assert capsys.readouterr().out == f"{expected}\n"
 
     @pytest.mark.parametrize("source", ["identity", "empty-file"])
     def test_huge_burnside_count_exits_before_any_work(self, tmp_path, source):
