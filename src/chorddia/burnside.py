@@ -53,16 +53,10 @@ class WreathTypeDistribution(Record):
 
 
 def falling_factorial(a: int, k: int) -> int:
-    """a * (a-1) * ... * (a-k+1) for a, k >= 0; 1 for k == 0, 0 as soon as
-    the product passes through zero (so 0 whenever k > a)."""
+    """a * (a-1) * ... * (a-k+1) for a, k >= 0: 1 for k == 0, 0 for k > a."""
     _require_int(a, 0, "falling_factorial requires a >= 0")
     _require_int(k, 0, "falling_factorial requires k >= 0")
-    result = 1
-    for t in range(k):
-        result *= a - t
-        if result == 0:
-            return 0
-    return result
+    return math.perm(a, k)
 
 
 def _wreath_terms(
@@ -140,7 +134,7 @@ def _wreath_terms(
             weight = base * math.prod(comb_choice)
             if eta is not None:
                 for l, count in _unpack(code, n):
-                    weight *= l**count * falling_factorial(eta[l], count)
+                    weight *= l**count * math.perm(eta[l], count)
             yield code, weight
 
 

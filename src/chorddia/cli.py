@@ -150,12 +150,13 @@ def _resolve_group(args, n: int) -> PermGroup:
 WRITE_CHUNK = 4096
 
 
-def _write(pieces) -> None:
-    """Write the text pieces to stdout, WRITE_CHUNK of them per call."""
+def _write(pieces, stream=None) -> None:
+    """Write the text pieces to stream (sys.stdout by default), WRITE_CHUNK
+    of them per call: the one writer of the CLI's stdout and stderr."""
     pieces = iter(pieces)
-    write = sys.stdout.write
+    stream = stream or sys.stdout
     while chunk := list(islice(pieces, WRITE_CHUNK)):
-        write("".join(chunk))
+        stream.write("".join(chunk))
 
 
 def _write_csv(header: tuple[str, ...], rows) -> None:
@@ -312,7 +313,7 @@ def _cmd_enumerate(args) -> int:
             )
     except OSError as exc:
         raise DomainError(f"cannot write to {out_dir}: {exc}") from exc
-    print(f"wrote {classes} SVG files to {out_dir}", file=sys.stderr)
+    _write([f"wrote {classes} SVG files to {out_dir}\n"], sys.stderr)
     return 0
 
 
@@ -451,16 +452,17 @@ def _cmd_verify(args) -> int:
     elif oracle_max > cap:
         raise ResourceLimitError(f"--oracle-max {oracle_max} exceeds the enumeration cap {cap}")
     failures = 0
+    # each line is written once decided, so a long run shows its progress
     for label, last, pair, stream in _verify_checks(n_max, oracle_max, args.threads):
+        line = f"ok   {label}\n"
         for n in range(1, last + 1):
             left, right = pair(n)
             if left != right:
                 failures += 1
-                print(f"FAIL {label}: n={n}: {left} != {right}", file=stream)
+                line = f"FAIL {label}: n={n}: {left} != {right}\n"
                 break
-        else:
-            print(f"ok   {label}", file=stream)
-    print(f"{failures} failure(s)" if failures else "all checks passed")
+        _write([line], stream)
+    _write([f"{failures} failure(s)\n" if failures else "all checks passed\n"])
     return 1 if failures else 0
 
 
@@ -474,13 +476,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_group_options(p, with_method=None):
-        p.add_argument(
+        group = p.add_mutually_exclusive_group()
+        group.add_argument(
             "--group",
             choices=("identity", "cyclic", "dihedral"),
-            default="cyclic",
             help="standard symmetry group (default: cyclic)",
         )
-        p.add_argument(
+        group.add_argument(
             "--group-file",
             metavar="PATH",
             help="JSON file with an arbitrary permutation group (1-based images)",
@@ -533,6 +535,9 @@ def run(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
+    # --group defaults to None so that argparse can refuse it beside --group-file
+    if getattr(args, "group", "") is None:
+        args.group = "cyclic"
     # Counts past 4300 digits must print, so Python's int-to-str limit
     # (3.11+) is lifted while the command runs; argv was parsed under it.
     previous = None
@@ -541,12 +546,9 @@ def run(argv: list[str] | None = None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         return args.handler(args)
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ResourceLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    except (DomainError, ResourceLimitError) as exc:
+        _write([f"error: {exc}\n"], sys.stderr)
+        return 2 if isinstance(exc, DomainError) else 3
     finally:
         if previous is not None:
             sys.set_int_max_str_digits(previous)
@@ -557,6 +559,9 @@ def main() -> None:
     # end as a closed pipe does, before any work
     if sys.stdout is None:
         sys.exit(1)
+    # with fd 2 closed, sys.stderr is None and argparse writes usage to stdout
+    if sys.stderr is None:
+        sys.stderr = open(os.devnull, "w")
     try:
         code = run()
         sys.stdout.flush()

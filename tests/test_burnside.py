@@ -115,6 +115,12 @@ class TestFallingFactorial:
             for k in range(a + 1):
                 assert falling_factorial(a, k) == math.factorial(a) // math.factorial(a - k)
 
+    def test_equals_the_plain_product(self):
+        # the product passes through zero for k > a
+        for a in range(31):
+            for k in range(31):
+                assert falling_factorial(a, k) == math.prod(a - t for t in range(k))
+
 
 class TestWreathDistribution:
     def test_n1_exact(self):

@@ -741,6 +741,25 @@ class TestEnumerate:
         assert capsys.readouterr().out == self.expected_jsonl(n, group)
 
 
+class TestGroupOptions:
+    @pytest.fixture
+    def half_turn(self, tmp_path):
+        path = tmp_path / "halfturn.json"
+        path.write_text(json.dumps({"points": 6, "elements": [[4, 5, 6, 1, 2, 3]]}))
+        return str(path)
+
+    # --group cyclic spells out the default, which argparse once let pass
+    @pytest.mark.parametrize("group", ["cyclic", "dihedral"])
+    @pytest.mark.parametrize("command", ["count", "enumerate"])
+    def test_group_with_group_file_refused(self, command, group, half_turn, capsys):
+        for options in (["--group", group, "--group-file", half_turn],
+                        ["--group-file", half_turn, "--group", group]):
+            assert run([command, "--n", "3", *options]) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert "--group-file" in err and "not allowed with argument --group" in err
+
+
 class TestWrite:
     # sha256 of each command's stdout when every format had its own write
     # strategy: the CSV joined whole, json.dump writing each encoder chunk
@@ -764,6 +783,60 @@ class TestWrite:
         assert run(command.split()) == 0
         stdout = capsys.readouterr().out.encode("utf-8")
         assert hashlib.sha256(stdout).hexdigest() == self.STDOUT_SHA256[command]
+
+    def test_every_line_goes_through_write(self, tmp_path, capsys, monkeypatch):
+        # every subcommand, a verify with failing lines on both streams and
+        # both error exits print what they printed when they called print()
+        import builtins
+
+        from chorddia import burnside
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("print() called")
+
+        monkeypatch.setattr(builtins, "print", refuse)
+        svg_dir = tmp_path / "svg"
+        expected = {
+            "count --n 5": (0, "105\n", ""),
+            "table --from 3 --to 4":
+                (0, "n,c_n,floor_c_lower,d_n,floor_d_lower\n3,5,2,5,1\n4,18,13,17,6\n", ""),
+            "enumerate --n 2": (0, '{"n": 2, "chords": [[1, 2], [3, 4]]}\n'
+                                   '{"n": 2, "chords": [[1, 3], [2, 4]]}\n', ""),
+            f"enumerate --n 3 --format svg-dir --out {svg_dir}":
+                (0, "", f"wrote 5 SVG files to {svg_dir}\n"),
+            "crossings --n 3": (0, "crossings,count\n0,5\n1,6\n2,3\n3,1\n", ""),
+            "strict --n-max 4": (0, "n,strict,cumulative\n1,0,0\n2,1,1\n3,4,5\n4,31,36\n", ""),
+            "verify --n-max 4": VERIFY_GOLDEN["--n-max 4"],
+            "count --n 0": (2, "", "error: n must be >= 1\n"),
+            "count --n 9 --method oracle": (3, "", "error: oracle capped at n <= 8"
+                                            " (CHORDDIA_ORACLE_CAP raises it, hard max 9)\n"),
+        }
+        for argv, result in expected.items():
+            assert (run(argv.split()), *capsys.readouterr()) == result, argv
+
+        terms = burnside._wreath_terms
+        monkeypatch.setattr(burnside, "_wreath_class_sum", lambda n, group: 0)
+        monkeypatch.setattr(burnside, "_wreath_terms", lambda n, eta=None: (
+            (code, weight + (eta is None)) for code, weight in terms(n, eta)))
+        assert run(["verify", "--n-max", "2", "--oracle-max", "1"]) == 1
+        assert capsys.readouterr() == (
+            "ok   formula == burnside (identity, n <= 2)\n"
+            "ok   formula == burnside (cyclic, n <= 2)\n"
+            "ok   formula == burnside (dihedral, n <= 2)\n"
+            "ok   formula == oracle (identity, n <= 1)\n"
+            "ok   formula == oracle (cyclic, n <= 1)\n"
+            "ok   formula == oracle (dihedral, n <= 1)\n"
+            "ok   rotation fixed counts match closed form (n <= 1)\n"
+            "FAIL wreath distribution mass == 2^n n! (n <= 2): n=1: 4 != 2\n"
+            "ok   crossing polynomial == crossing histogram (n <= 1)\n"
+            "ok   strict recurrence == strict enumeration (n <= 1)\n"
+            "4 failure(s)\n",
+            "FAIL burnside == wreath class sum (identity, n <= 2): n=1: 1 != 0\n"
+            "FAIL burnside == wreath class sum (cyclic, n <= 2): n=1: 1 != 0\n"
+            "FAIL burnside == wreath class sum (dihedral, n <= 2): n=1: 1 != 0\n"
+            "ok   crossing polynomial == transfer count (n <= 2)\n"
+            "ok   strict recurrence == inclusion-exclusion (n <= 2)\n",
+        )
 
     @pytest.mark.parametrize("command", ["table --from 3 --to 60 --format json",
                                          "crossings --n 12 --format json"])
@@ -1344,6 +1417,28 @@ class TestProcessEntry:
         )
         assert proc.returncode == 1
         assert proc.stderr == b""
+
+    @pytest.mark.parametrize("argv,code", [
+        (["count", "--n", "0"], 2),
+        (["count", "--n", "x"], 2),
+        (["enumerate", "--n", "3", "--format", "svg-dir", "--out", "{DIR}"], 0),
+        (["verify", "--n-max", "3", "--oracle-max", "2"], 0),
+    ], ids=["domain-error", "usage-error", "svg-dir", "verify"])
+    def test_closed_stderr(self, argv, code, tmp_path):
+        # with file descriptor 2 closed, Python starts with sys.stderr None;
+        # what goes to stderr must not land on stdout
+        argv = [arg.replace("{DIR}", str(tmp_path / "svg")) for arg in argv]
+        closed = subprocess.run(
+            [sys.executable, "-m", "chorddia", *argv],
+            stdout=subprocess.PIPE, env=child_env(), preexec_fn=lambda: os.close(2),
+            text=True, timeout=60,
+        )
+        assert closed.returncode == code
+        if argv[0] == "verify":
+            assert closed.stdout == run_module(*argv).stdout
+            assert len(closed.stdout.splitlines()) == 11
+        else:
+            assert closed.stdout == ""
 
     def test_help_exits_zero(self):
         proc = run_module("--help")
