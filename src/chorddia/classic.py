@@ -47,7 +47,7 @@ class StrictSequences(Record):
 def catalan_noncrossing(n: int) -> int:
     """Diagrams of order n with no crossing chords: (2n)!/(n!(n+1)!)."""
     _require_int(n, 1, "catalan_noncrossing requires n >= 1")
-    return math.factorial(2 * n) // (math.factorial(n) * math.factorial(n + 1))
+    return exact_div(math.comb(2 * n, n), n + 1, "catalan_noncrossing")
 
 
 def crossing_polynomial(n: int) -> CrossingPolynomial:

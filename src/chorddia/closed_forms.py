@@ -135,7 +135,7 @@ def partial_pairing_count(n: int) -> int:
     pair-permutations-with-flips whose entry cycles all have length 2."""
     _require_int(n, 0, "partial_pairing_count requires n >= 0")
     return sum(
-        math.factorial(n) // (math.factorial(k) * math.factorial(n - 2 * k))
+        exact_div(math.perm(n, 2 * k), math.factorial(k), "partial_pairing_count")
         for k in range(n // 2 + 1)
     )
 
@@ -145,12 +145,11 @@ def reflection_type_wreath_count(n: int) -> int:
     type is two fixed points plus (n-1) transpositions, i.e. the type of a
     point-fixing reflection."""
     _require_int(n, 1, "reflection_type_wreath_count requires n >= 1")
-    total = 0
-    for l in range(1, n + 1):
-        if (n - l) % 2 == 0:
-            k = (n - l) // 2
-            total += l * math.factorial(n) // (math.factorial(l) * math.factorial(k))
-    return total
+    context = "reflection_type_wreath_count"
+    return sum(
+        exact_div((n - 2 * k) * math.perm(n, 2 * k), math.factorial(k), context)
+        for k in range((n + 1) // 2)
+    )
 
 
 def dihedral_count(n: int) -> int:

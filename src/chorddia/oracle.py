@@ -39,37 +39,40 @@ of the (2n-1)!! matchings:
   complete matching once.
 - crossings and strict: both are constant on the orbits of the dihedral
   group D_2n (order 4n for n >= 2), since a rotation or reflection of the
-  circle keeps interleaved chords interleaved and circle-adjacent points
-  adjacent. So both are read from the census below, which walks only the
-  D_2n orbit minima and adds each minimum's orbit size |G| / |Stab|
-  (orbit-stabilizer) in place of 1. Both ride along in the state: when
-  chord (v, w) is placed, the matched points inside (v, w) all have
-  partners below v, so each is one crossing with (v, w), and every
-  crossing is counted once, when its later chord is placed; a diagram
-  stays strict until a chord (v, v+1) or (0, 2n-1) is placed.
+  circle keeps interleaved chords interleaved and neighbours neighbours.
+  So both are read from the census below, which walks only the D_2n orbit
+  minima and adds each minimum's orbit size |G| / |Stab| (orbit-stabilizer)
+  in place of 1. The step carries the crossings: when chord (v, w) is
+  placed, the matched points inside it all have partners below v, so each
+  is one crossing with (v, w), counted when its later chord is placed.
+  Strictness needs no state. Rotation by -v maps a chord {v, v+1 mod 2n}
+  to {0, 1}, and p[0] >= 1 in every matching, so in a group containing
+  the rotations an orbit's minimum has p[0] == 1 iff some diagram of the
+  orbit is non-strict. Between C_2n and D_2n strictness is constant on
+  the orbits, so a minimum is strict iff p[0] != 1.
 - fixed count: a chord (v, w) is skipped when g maps it, or maps a placed
   chord onto one of its points, inconsistently with what is placed;
   every matching reached is then fixed by g. The identity fixes every
   matching, so its count walks with no hook.
 
 Every orbit path runs one function, _orbit_walk(group, step, keys): the
-walker with the group's table and, as its hook, an optional per-path step
-(the census's crossing count and strict flag), which sees each chord the
-orderly test keeps. The walk yields each orbit minimum as (partner,
-stabilizer, state), and keys maps that stream to the keys counted over
-all minima. The trivial group has no table: its walk yields every
-matching, in the same shape, with an empty stabilizer. orbit_count
-counts minima by stabilizer size through C callables (no Python frame
-per minimum); the census keys each minimum with _census_key and weights
-each key by its orbit size. A listing needs the minima themselves, in
-order and one at a time, so _minima streams their partner arrays from
-one serial walk, with no Counter: representatives copies each one, and
-enumerate writes each one's line, or SVG file, as it comes.
+walker with the group's table and, as its hook, an optional per-path
+step (the census's crossing count), which sees each chord the orderly
+test keeps. The walk yields each orbit minimum as (partner, stabilizer,
+state), and keys maps that stream to the keys counted over all minima.
+The trivial group has no table: its walk yields every matching, in the
+same shape, with an empty stabilizer. orbit_count counts minima by
+stabilizer size through C callables (no Python frame per minimum); the
+census keys each minimum with _census_key and weights each key by its
+orbit size. A listing needs the minima themselves, in order and one at a
+time, so _minima streams their partner arrays from one serial walk, with
+no Counter: representatives copies each one, and enumerate writes each
+one's line, or SVG file, as it comes.
 
 The census (_dihedral_census) is one walk of the D_2n orbit minima whose
-step carries the crossing count and whether every chord so far is strict,
-and whose leaf keys each minimum by k, the size of its non-identity
-stabilizer, k_r, how many of those are rotations, and the step's state.
+step carries the crossing count, and whose leaf keys each minimum by k,
+the size of its non-identity stabilizer, k_r, how many of those are
+rotations, its crossing count and whether it is strict (partner[0] != 1).
 A key counted c times stands for c D_2n-orbits of |D| / (1 + k) diagrams
 each, which gives the D_2n orbit summary, the crossing histogram, the
 strict count and the identity group's summary (one orbit per diagram).
@@ -200,13 +203,13 @@ def _census_keys(walk):
     return starmap(_census_key, walk)
 
 
-def _census_key(partner, stabilizer, state) -> tuple[int, int, object]:
-    """The non-identity stabilizer's size k, how many of its elements are
-    rotations, and the census step's state. A dihedral element is a
-    rotation iff it maps 1 to the successor of its image of 0; a
-    reflection v -> s - v maps 1 to the predecessor, which differs on 4 or
-    more points, and on 2 points the only non-identity element is the
-    rotation by one."""
+def _census_key(partner, stabilizer, crossings) -> tuple[int, int, int, bool]:
+    """k, the non-identity stabilizer's size, how many of its elements are
+    rotations, the crossings, and strictness: partner[0] != 1 at a minimum
+    (module docstring). A dihedral element is a rotation iff it maps 1 to
+    the successor of its image of 0; a reflection v -> s - v maps 1 to the
+    predecessor, which differs on 4 or more points, and on 2 points the
+    only non-identity element is the rotation by one."""
     size = len(partner)
     rotations = 0
     # a loop, not sum() of a generator: most minima have no stabilizer, and
@@ -214,7 +217,7 @@ def _census_key(partner, stabilizer, state) -> tuple[int, int, object]:
     for img, _, _, _ in stabilizer:
         if img[1] == (img[0] + 1) % size:
             rotations += 1
-    return len(stabilizer), rotations, state
+    return len(stabilizer), rotations, crossings, partner[0] != 1
 
 
 def _summary(n: int, group_order: int, sizes: Mapping[int, int]) -> OrbitSummary:
@@ -235,7 +238,8 @@ def orbit_count(n: int, group: PermGroup, threads: int | None = None) -> OrbitSu
     leaves = _orbit_walk(group, None, _stabilizer_sizes, threads=threads)
     # a minimum whose non-identity stabilizer has k elements stands for an
     # orbit of |G| / (1 + k), so distinct k give distinct orbit sizes
-    return _summary(n, group.order, {group.order // (1 + k): c for k, c in leaves.items()})
+    sizes = {exact_div(group.order, 1 + k, "orbit size"): c for k, c in leaves.items()}
+    return _summary(n, group.order, sizes)
 
 
 def fixed_diagram_count(n: int, g: GroupElement) -> int:
@@ -281,14 +285,11 @@ def representatives(n: int, group: PermGroup) -> list[ChordDiagram]:
     return [ChordDiagram._unchecked(tuple(p)) for p in _minima(group)]
 
 
-def _census_step(partner, v, w, state: tuple[int, bool]) -> tuple[int, bool]:
-    """Crossings so far, and whether no chord so far joins circle-adjacent
-    points."""
-    crossings, strict = state
+def _census_step(partner, v, w, crossings: int) -> int:
+    """Crossings so far, with chord (v, w) placed."""
     # every matched point strictly inside (v, w) has its partner below v
     inside = partner[v + 1:w]
-    adjacent = w == v + 1 or (v == 0 and w == len(partner) - 1)
-    return crossings + len(inside) - inside.count(-1), strict and not adjacent
+    return crossings + len(inside) - inside.count(-1)
 
 
 def _dihedral_census(
@@ -302,7 +303,7 @@ def _dihedral_census(
     _check_n(n)
     threads = _resolve_threads(threads)
     group = make_standard_group("dihedral", 2 * n)
-    leaves = _orbit_walk(group, _census_step, _census_keys, (0, True), threads)
+    leaves = _orbit_walk(group, _census_step, _census_keys, 0, threads)
     # a key counted c times stands for c D_2n-orbits of |D| / (1 + k)
     # diagrams each; C_2n is normal in D_2n, so the C_2n-orbits inside one
     # of them all have 1 + k_r stabilizer elements, |C| / (1 + k_r) diagrams
@@ -310,7 +311,7 @@ def _dihedral_census(
     cyclic_sizes: Counter = Counter()
     coeffs = [0] * (n * (n - 1) // 2 + 1)
     strict = 0
-    for (k, k_r, (crossings, is_strict)), count in leaves.items():
+    for (k, k_r, crossings, is_strict), count in leaves.items():
         size = exact_div(group.order, 1 + k, "dihedral orbit size")
         dihedral_sizes[size] += count
         cyclic_size = exact_div(2 * n, 1 + k_r, "cyclic orbit size")
@@ -334,6 +335,6 @@ def crossing_distribution(n: int, threads: int | None = None) -> CrossingPolynom
 
 
 def strict_count(n: int) -> int:
-    """Number of diagrams with no chord joining circle-adjacent points, by
-    direct counting."""
+    """Number of diagrams with no chord joining neighbours on the circle,
+    by direct counting."""
     return _dihedral_census(n)[4]

@@ -264,9 +264,14 @@ def small_groups(draw, max_points=8, min_points=2):
 @given(small_groups())
 def test_three_derivations_agree_on_random_groups(group):
     n = group.size // 2
-    expected = orbit_count(n, group).orbit_count
+    summary = orbit_count(n, group)
+    expected = summary.orbit_count
     assert burnside_count(n, group) == expected
     assert _wreath_class_sum(n, group) == expected
+    # the orbits partition the (2n-1)!! matchings, each orbit size dividing |G|
+    hist = summary.orbit_size_histogram
+    assert sum(size * c for size, c in hist.items()) == diagram_count(n)
+    assert all(group.order % size == 0 for size in hist)
 
 
 class TestGeneratedCount:

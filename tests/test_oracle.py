@@ -2,8 +2,10 @@ import pytest
 
 from chorddia import (
     ChordDiagram,
+    ConsistencyError,
     DomainError,
     GroupElement,
+    PermGroup,
     ResourceLimitError,
     crossing_distribution,
     cycle_type_of,
@@ -51,6 +53,14 @@ class TestOrbitCount:
                 assert sum(size * k for size, k in hist.items()) == diagram_count(n)
                 assert sum(hist.values()) == summary.orbit_count
                 assert all(summary.group_order % size == 0 for size in hist)
+
+    def test_set_that_is_not_closed_is_refused(self):
+        # the identity, (0 1) and (2 3) without their product: minima fixed
+        # by one transposition would stand for orbits of 3 / 2 diagrams
+        images = [(0, 1, 2, 3, 4, 5), (1, 0, 2, 3, 4, 5), (0, 1, 3, 2, 4, 5)]
+        group = PermGroup(6, tuple(map(GroupElement.from_images, images)))
+        with pytest.raises(ConsistencyError, match="orbit size"):
+            orbit_count(3, group)
 
     def test_matches_closed_forms(self, summaries):
         for n in range(1, 6):

@@ -351,6 +351,20 @@ def full_walk_strict(n):
     return sum(1 for _ in _walk(size, None, place, True))
 
 
+# strict classes for n = 1..7, counted by brute force over every matching
+# (Krasko and Omelchenko 2017 count these as diagrams "without loops")
+@pytest.mark.parametrize("kind, classes", [
+    ("cyclic", [0, 1, 2, 7, 36, 300, 3218]),
+    ("dihedral", [0, 1, 2, 7, 29, 196, 1788]),
+])
+def test_strictness_is_read_off_the_first_chord(kind, classes):
+    # the census keys each D_2n minimum as strict iff partner[0] != 1
+    for n, expected in enumerate(classes, start=1):
+        reps = representatives(n, make_standard_group(kind, 2 * n))
+        assert all(is_strict(rep) == (rep.partner[0] != 1) for rep in reps)
+        assert sum(map(is_strict, reps)) == expected
+
+
 class TestOrbitWeightedAgainstFullWalk:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
     def test_crossings(self, n):
