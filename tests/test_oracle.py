@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chorddia import (
     ChordDiagram,
@@ -234,3 +236,124 @@ class TestDihedralCensus:
         monkeypatch.setenv("CHORDDIA_ORACLE_CAP", "3")
         with pytest.raises(ResourceLimitError):
             _dihedral_census(4)
+
+
+def _natural_summary(n, group):
+    """The summary of the walk on the group's own labels, which orbit_count
+    made before it relabelled the points."""
+    from chorddia.oracle import _orbit_walk, _stabilizer_sizes, _summary
+
+    leaves = _orbit_walk(group, None, _stabilizer_sizes)
+    return _summary(n, group.order, {group.order // (1 + k): c for k, c in leaves.items()})
+
+
+def _group_file(tmp_path, n, images):
+    """A group file of the given 0-based rows on 2n points, loaded as the
+    CLI loads one."""
+    import json
+
+    from chorddia.cli import load_group_file
+
+    path = tmp_path / "group.json"
+    rows = [[v + 1 for v in row] for row in images]
+    path.write_text(json.dumps({"points": 2 * n, "elements": rows}))
+    return load_group_file(str(path), 2 * n)
+
+
+def _file_rows(kind, n):
+    size = 2 * n
+    if kind == "half turn":
+        return [[(v + n) % size for v in range(size)]]
+    if kind == "S_4 on 0..3":
+        # (0 1) and (0 1 2 3) generate the symmetric group on points 0..3
+        rest = list(range(4, size))
+        return [[1, 0, 2, 3] + rest, [1, 2, 3, 0] + rest]
+    if kind == "reflection through 0":
+        return [[-v % size for v in range(size)]]
+    assert kind == "reflection between 0 and 1"
+    return [[(1 - v) % size for v in range(size)]]
+
+
+FILE_KINDS = ["half turn", "S_4 on 0..3", "reflection through 0", "reflection between 0 and 1"]
+
+
+class TestRelabelledWalk:
+    # orbit_count walks the group relabelled by the orbits of point 0's
+    # stabilizer; the census, the listings and fixed counts keep the labels
+    @pytest.mark.parametrize("kind", ["identity", "cyclic", "dihedral"])
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_standard_groups_equal_the_natural_walk(self, n, kind):
+        group = make_standard_group(kind, 2 * n)
+        relabelled = orbit_count(n, group)
+        natural = _natural_summary(n, group)
+        assert relabelled == natural
+        assert list(relabelled.orbit_size_histogram.items()) == list(
+            natural.orbit_size_histogram.items()
+        )
+
+    @pytest.mark.parametrize("kind", FILE_KINDS)
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_group_files_equal_the_natural_walk(self, tmp_path, n, kind):
+        group = _group_file(tmp_path, n, _file_rows(kind, n))
+        relabelled = orbit_count(n, group)
+        natural = _natural_summary(n, group)
+        assert relabelled == natural
+        assert list(relabelled.orbit_size_histogram.items()) == list(
+            natural.orbit_size_histogram.items()
+        )
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_dihedral_order_pairs_each_point_with_its_mirror(self, n):
+        from chorddia.oracle import _point_order
+
+        size = 2 * n
+        order = [0]
+        for v in range(1, n):
+            order += [v, size - v]
+        order.append(n)
+        assert _point_order(make_standard_group("dihedral", size)) == order[:size]
+
+    @pytest.mark.parametrize("kind", ["identity", "cyclic"])
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_order_of_a_trivial_stabilizer_is_the_identity(self, n, kind):
+        from chorddia.oracle import _point_order, _relabelled
+
+        group = make_standard_group(kind, 2 * n)
+        assert _point_order(group) == list(range(2 * n))
+        assert _relabelled(group) is group
+
+    @pytest.mark.parametrize("kind", ["half turn", "S_4 on 0..3", "reflection between 0 and 1"])
+    def test_consecutive_orbits_are_walked_as_they_are(self, tmp_path, kind):
+        # no copy of the group when the orbits are already consecutive
+        from chorddia.oracle import _relabelled
+
+        group = _group_file(tmp_path, 4, _file_rows(kind, 4))
+        assert _relabelled(group) is group
+
+    def test_relabelled_group_is_the_conjugate(self):
+        from chorddia.oracle import _point_order, _relabelled
+
+        group = make_standard_group("dihedral", 10)
+        order = _point_order(group)
+        relabelled = _relabelled(group)
+        assert relabelled.size == group.size and relabelled.order == group.order
+        # g' = σ g σ⁻¹ with σ(order[i]) = i, so g'(i) = j iff g(order[i]) = order[j]
+        images = {tuple(order.index(g(p)) for p in order) for g in group}
+        assert {g.images for g in relabelled} == images
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.sampled_from(["cyclic", "dihedral"]), st.integers(1, 5))
+def test_orbit_count_is_invariant_under_relabelling(data, kind, n):
+    # any relabelling τ maps orbits onto orbits and keeps each stabilizer's
+    # order, so τGτ⁻¹ has the summary of G
+    group = make_standard_group(kind, 2 * n)
+    tau = data.draw(st.permutations(range(2 * n)), label="tau")
+    inverse = [0] * (2 * n)
+    for v, w in enumerate(tau):
+        inverse[w] = v
+    conjugate = PermGroup(
+        2 * n,
+        tuple(GroupElement.from_images([tau[g(inverse[v])] for v in range(2 * n)]) for g in group),
+    )
+    assert orbit_count(n, conjugate) == orbit_count(n, group)

@@ -198,11 +198,10 @@ def test_rejecting_hooks_reject_something(size):
         assert 0 < sum(1 for _ in _walk(size, None, place, 0)) < full
 
 
-def test_orbit_walk_counts_at_d16(monkeypatch):
-    # the orderly test on D_16, made by the walker from the group's table:
-    # one leaf per orbit, and the comparisons past position 0 that it
-    # makes, while a counting hook sees each chord that the test keeps
-    group = make_standard_group("dihedral", 16)
+def _d16_walk_calls(monkeypatch, group):
+    """The leaves of the orderly walk on the group's table, and the calls
+    of its comparisons past position 0 and of a counting hook, which sees
+    each chord that the test keeps."""
     table = diagrams._position0_table(16, oracle._element_arrays(group))
     calls = Counter()
     for name in ("_orderly_advance", "_orderly_finish"):
@@ -216,8 +215,25 @@ def test_orbit_walk_counts_at_d16(monkeypatch):
         calls["hook"] += 1
         return state
 
-    assert sum(1 for _ in _walk(16, None, hook, 0, table)) == 65346
+    return sum(1 for _ in _walk(16, None, hook, 0, table)), calls
+
+
+def test_orbit_walk_counts_at_d16(monkeypatch):
+    # the orderly test on D_16 on circle labels, as the census walks it:
+    # one leaf per orbit
+    leaves, calls = _d16_walk_calls(monkeypatch, make_standard_group("dihedral", 16))
+    assert leaves == 65346
     assert calls == {"_orderly_advance": 27125, "_orderly_finish": 103589, "hook": 208172}
+
+
+def test_relabelled_orbit_walk_counts_at_d16(monkeypatch):
+    # orbit_count's walk: each point sits next to its mirror image, so a
+    # reflection's comparison settles before the last chord and the
+    # complete matchings compared fall by half
+    group = oracle._relabelled(make_standard_group("dihedral", 16))
+    leaves, calls = _d16_walk_calls(monkeypatch, group)
+    assert leaves == 65346
+    assert calls == {"_orderly_advance": 24262, "_orderly_finish": 50130, "hook": 188412}
 
 
 def _double_factorial(m):
