@@ -131,9 +131,9 @@ def canonical_form(diagram: ChordDiagram, group: PermGroup) -> ChordDiagram:
 
 # (images, inverse-images) per element, the form the hot loops consume
 _ElementArrays = tuple[tuple[int, ...], tuple[int, ...]]
-# an element still compared with p: (images, inverse, needs, r), where
-# needs[r] has the bits of the two points its comparison at r needs
-_Tied = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], int]
+# an element still compared with p: (images, inverse, r), where g.p and p
+# are equal below position r
+_Tied = tuple[tuple[int, ...], tuple[int, ...], int]
 # table[a][b]: (least image, elements reaching it) or None; see _position0_table
 _Table = list[list[tuple[int, list[_Tied]] | None]]
 
@@ -153,9 +153,7 @@ def _position0_table(size: int, elems: list[_ElementArrays]) -> _Table | None:
         return None
     table: _Table = [[None] * size for _ in range(size)]
     for img, inv in elems:
-        # the comparison at position r needs p[r] and p[inv[r]]; at size
-        # it is over (the element fixes p) and needs nothing
-        needs = tuple([1 << r | 1 << inv[r] for r in range(size)] + [0])
+        elem = (img, inv, 1)
         a = inv[0]
         row = table[a]
         for b in range(size):
@@ -166,7 +164,7 @@ def _position0_table(size: int, elems: list[_ElementArrays]) -> _Table | None:
             if entry is None or image < entry[0]:
                 entry = row[b] = table[b][a] = (image, [])
             if image == entry[0]:
-                entry[1].append((img, inv, needs, 1))
+                entry[1].append(elem)
     return table
 
 
@@ -182,30 +180,20 @@ def _position0_settle(table: _Table, p0: int) -> list[list[list[_Tied] | None]]:
     ]
 
 
-def _orderly_advance(partner, placed, tied):
-    """Advance the comparison of g.p with p for each element in tied,
-    dropping those whose image is larger.
-
-    placed has the bits of the points just placed: an element whose
-    comparison needs none of them is kept as it is. Returns None once
-    some g.p is smaller, else the elements kept and the bits of the
-    points that they wait for.
-    """
+def _orderly_advance(partner, tied):
+    """Advance the comparison of g.p with p for each element in tied, as
+    far as the placed chords determine both, dropping those whose image
+    is larger. Position r is determined once p[r] and p[inv[r]] are
+    placed, since g.p[r] = g(p[inv[r]]). Returns None once some g.p is
+    smaller, else the elements kept."""
     size = len(partner)
     kept = []
-    waits = 0
-    for elem in tied:
-        img, inv, needs, r = elem
-        if not needs[r] & placed:
-            kept.append(elem)
-            waits |= needs[r]
-            continue
+    for img, inv, r in tied:
         while r < size:
             a = partner[r]
             x = partner[inv[r]]
             if a < 0 or x < 0:
-                kept.append((img, inv, needs, r))
-                waits |= needs[r]
+                kept.append((img, inv, r))
                 break
             b = img[x]
             if b != a:
@@ -214,8 +202,8 @@ def _orderly_advance(partner, placed, tied):
                 break
             r += 1
         else:
-            kept.append((img, inv, needs, r))  # equal everywhere: it fixes p
-    return kept, waits
+            kept.append((img, inv, r))  # equal everywhere: it fixes p
+    return kept
 
 
 def _orderly_finish(partner, tied):
@@ -224,7 +212,7 @@ def _orderly_finish(partner, tied):
     elements that fix p."""
     size = len(partner)
     kept = []
-    for img, inv, needs, r in tied:
+    for img, inv, r in tied:
         while r < size:
             a = partner[r]
             b = img[partner[inv[r]]]
@@ -234,7 +222,7 @@ def _orderly_finish(partner, tied):
                 break
             r += 1
         else:
-            kept.append((img, inv, needs, r))
+            kept.append((img, inv, r))
     return kept
 
 
@@ -259,12 +247,12 @@ def _walk(
     that are the least in their orbit under the table's group (the
     orderly test of the oracle module's docstring), and the stabilizer is
     the non-identity elements that fix the matching, each as (images,
-    inverse, needs, size). The root chord fixes p[0], and with it
+    inverse, size). The root chord fixes p[0], and with it
     _position0_settle for the whole walk below it. Each chord is looked
     up there before it is written, and dropped when some g.p is already
     smaller; the elements that tie join those compared past position 0,
-    and _orderly_advance runs only when one of those needs a point that
-    the chord places. Only then does place see the chord.
+    and _orderly_advance advances all of those, whenever there are any.
+    Only then does place see the chord.
 
     The last two chords have no level of their own: once four points
     a < b < c < d are left, a is joined to b, c and d in turn, and the
@@ -290,12 +278,11 @@ def _walk(
     # points every chord has a level, and the one at last_depth is the last
     tail_depth = size // 2 - 3
     last_depth = size // 2 - 1
-    # the open levels above the current one: their point, partner, state,
-    # the elements compared past position 0 and the points they wait for
-    stack: list[tuple[int, int, object, list[_Tied], int]] = []
+    # the open levels above the current one: their point, partner, state
+    # and the elements compared past position 0
+    stack: list[tuple[int, int, object, list[_Tied]]] = []
     depth = 0
-    waits = 0
-    child_tied, child_waits = tied, waits
+    child_tied = tied
     while True:
         w += 1
         while w < end and partner[w] >= 0:
@@ -305,7 +292,7 @@ def _walk(
             partner[v] = -1
             if not stack:
                 return
-            v, w, state, tied, waits = stack.pop()
+            v, w, state, tied = stack.pop()
             depth -= 1
             partner[w] = -1
             if not stack:
@@ -313,24 +300,20 @@ def _walk(
             continue
         partner[v] = w
         if table is not None:
-            child_tied, child_waits = tied, waits
+            child_tied = tied
             if not v:
                 settle = _position0_settle(table, w)
             ties = settle[v][w]
-            due = 0
             if ties is not None:
                 if not ties:
                     continue  # some g.p is already smaller: w stays unwritten
-                # the elements that tie compare at position 1 now: due has
-                # the bit of point 1, which each of them needs
-                child_tied, due = tied + ties, 2
+                child_tied = tied + ties
             partner[w] = v
-            if due or waits and waits & (1 << v | 1 << w):
-                settled = _orderly_advance(partner, due | 1 << v | 1 << w, child_tied)
-                if settled is None:
+            if child_tied:
+                child_tied = _orderly_advance(partner, child_tied)
+                if child_tied is None:
                     partner[w] = -1
                     continue
-                child_tied, child_waits = settled
         else:
             partner[w] = v
         child = state
@@ -344,13 +327,13 @@ def _walk(
                 yield partner, child_tied, child
                 partner[w] = -1
                 continue
-            stack.append((v, w, state, tied, waits))
+            stack.append((v, w, state, tied))
             depth += 1
             end = size
             u = v + 1
             while partner[u] >= 0:
                 u += 1
-            v, w, state, tied, waits = u, u, child, child_tied, child_waits
+            v, w, state, tied = u, u, child, child_tied
             continue
         # the last four points, a < b < c < d: a takes b, c, d in turn
         a = v + 1

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from operator import itemgetter, methodcaller
+from operator import attrgetter, itemgetter, methodcaller
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import DomainError, Record, ResourceLimitError, _require_int
@@ -156,6 +156,16 @@ class PermGroup(Record):
     __slots__ = ("size", "elements")
     size: int
     elements: tuple[GroupElement, ...]
+
+    def _check(self):
+        size = _require_int(self.size, 0, f"group size must be an int >= 0, got {self.size!r}")
+        elements = self.elements
+        if type(elements) is not tuple or not elements:
+            raise DomainError("a group needs a non-empty tuple of elements")
+        if not {GroupElement}.issuperset(map(type, elements)):
+            raise DomainError("group elements must be GroupElements")
+        if not {size}.issuperset(map(len, map(attrgetter("images"), elements))):
+            raise DomainError(f"every group element must act on the group's {size} points")
 
     @property
     def order(self) -> int:

@@ -32,11 +32,11 @@ of the (2n-1)!! matchings:
   rest are dropped. So the decisions, and the elements left at each leaf,
   are those of comparing every element from position 0, and the walk
   carries only the few elements past position 0 (the others wait there
-  implicitly), with a mask of the points their comparisons wait for:
-  diagrams._orderly_advance runs only for a chord that places one of
-  them. The last two chords are both settled at position 0 before either
-  is compared further, and diagrams._orderly_finish then compares the
-  complete matching once.
+  implicitly): diagrams._orderly_advance advances each of those at every
+  chord, as far as the placed chords determine both sides. The last two
+  chords are both settled at position 0 before either is compared
+  further, and diagrams._orderly_finish then compares the complete
+  matching once.
 - crossings and strict: both are constant on the orbits of the dihedral
   group D_2n (order 4n for n >= 2), since a rotation or reflection of the
   circle keeps interleaved chords interleaved and neighbours neighbours.
@@ -270,7 +270,7 @@ def _census_key(partner, stabilizer, crossings) -> tuple[int, int, int, bool]:
     rotations = 0
     # a loop, not sum() of a generator: most minima have no stabilizer, and
     # the generator would cost one more object per leaf
-    for img, _, _, _ in stabilizer:
+    for img, _, _ in stabilizer:
         if img[1] == (img[0] + 1) % size:
             rotations += 1
     return len(stabilizer), rotations, crossings, partner[0] != 1

@@ -260,6 +260,12 @@ class TestPositionZeroTable:
     def test_same_decisions_as_per_element(self, kind, n):
         check_same_decisions(make_standard_group(kind, 2 * n))
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("kind", ["cyclic", "dihedral"])
+    def test_relabelled_same_decisions_as_per_element(self, kind, n):
+        # the table walk that orbit_count runs
+        check_same_decisions(oracle._relabelled(make_standard_group(kind, 2 * n)))
+
     def test_trivial_group_has_no_table(self):
         group = make_standard_group("identity", 8)
         assert diagrams._position0_table(8, oracle._element_arrays(group)) is None
@@ -274,9 +280,8 @@ class TestPositionZeroTable:
         assert [table[3][b][0] for b in range(3)] == [1, 2, 3]
         assert table[0][3] is table[3][0]
         assert table[0][1] is None and table[1][2] is None
-        # stored ready for position 1, with the points each position needs
-        needs = (1 | 1 << 3, 2 | 1, 4 | 2, 8 | 4, 0)
-        assert table[3][1][1] == [(img, inv, needs, 1)]
+        # stored ready to compare at position 1
+        assert table[3][1][1] == [(img, inv, 1)]
 
     def test_settle_compares_each_entry_with_p0(self):
         g = make_standard_group("cyclic", 4).elements[1]

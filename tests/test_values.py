@@ -137,12 +137,20 @@ def test_pickle_round_trip(cls, fields, text):
         lambda: ChordDiagram.from_chords([], size=True),
         lambda: ChordDiagram.from_chords([(0.0, 1)]),
         lambda: ChordDiagram.from_chords([(0, True)]),
+        # a group with no element, or one whose elements are not
+        # GroupElements of its own number of points
+        lambda: PermGroup(4, ()),
+        lambda: PermGroup(4, (GroupElement.identity(6), GroupElement.rotation(6, 1))),
+        lambda: PermGroup(2, ((0, 1),)),
+        lambda: PermGroup(2, [IDENTITY_2]),
+        lambda: PermGroup(2.0, (IDENTITY_2,)),
     ],
     ids=["ct-unsorted", "ct-zero", "ct-duplicate", "ct-float", "ct-bool", "ct-whole-float",
          "ge-repeat", "ge-range",
          "cd-odd", "cd-fixed-point", "cd-not-involution", "ge-float", "ge-bool",
          "ge-str", "cd-float", "cd-bool", "fc-negative-size", "fc-float-size",
-         "fc-bool-size", "fc-float-endpoint", "fc-bool-endpoint"],
+         "fc-bool-size", "fc-float-endpoint", "fc-bool-endpoint",
+         "pg-empty", "pg-other-size", "pg-not-element", "pg-list", "pg-float-size"],
 )
 def test_invalid_input_is_domain_error(build):
     with pytest.raises(DomainError):
