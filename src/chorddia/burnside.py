@@ -160,7 +160,7 @@ def wreath_cycle_type_distribution(n: int) -> WreathTypeDistribution:
         grouped[code] = grouped.get(code, 0) + weight
     return WreathTypeDistribution(
         n=n,
-        entries={CycleType(_unpack(code, n)): count for code, count in grouped.items()},
+        entries={CycleType._unchecked(_unpack(code, n)): count for code, count in grouped.items()},
     )
 
 

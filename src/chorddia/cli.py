@@ -76,7 +76,7 @@ def load_group_file(path: str, points_expected: int | None = None) -> PermGroup:
     from . import groups
 
     points, rows = _group_file_rows(path, points_expected)
-    return groups.generate_group([groups.GroupElement.from_images(row) for row in rows], points)
+    return groups.generate_group([groups.GroupElement._unchecked(row) for row in rows], points)
 
 
 def _group_file_rows(path: str, points_expected: int | None) -> tuple[int, list[tuple[int, ...]]]:

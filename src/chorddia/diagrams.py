@@ -35,14 +35,6 @@ class ChordDiagram(Record):
                 raise DomainError("partner array is not a fixed-point-free involution")
 
     @classmethod
-    def _unchecked(cls, partner: tuple[int, ...]) -> "ChordDiagram":
-        """A diagram on a partner array that is a matching by construction
-        (the oracle's walk built it), without checking it again."""
-        d = object.__new__(cls)
-        object.__setattr__(d, "partner", partner)
-        return d
-
-    @classmethod
     def from_chords(cls, chords: Sequence[tuple[int, int]], size: int | None = None) -> "ChordDiagram":
         """Build from 0-based endpoint pairs."""
         if size is None:

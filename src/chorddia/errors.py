@@ -57,6 +57,13 @@ class Record:
     class with equal fields, hashes as the tuple of its fields, prints as
     ``Name(field=value, ...)``, refuses assignment and deletion, and pickles
     by calling the class with its fields (so unpickling validates again).
+
+    Each value is checked once, where it enters the program: input from
+    outside (a public constructor, a factory, a parsed file, a pickle) goes
+    through ``__init__``, and a value the package derives from values
+    already checked (a group's closure, an inverse, a product, a walk's
+    matching) through ``_unchecked``, which binds the same fields without
+    calling ``_check``.
     """
 
     __slots__ = ()
@@ -78,6 +85,15 @@ class Record:
                 raise TypeError(f"{cls}() missing field {name!r}")
             object.__setattr__(self, name, values[name])
         self._check()
+
+    @classmethod
+    def _unchecked(cls, *values):
+        """An instance whose fields, in ``__slots__`` order, are values valid
+        by construction, bound without calling ``_check``."""
+        record = object.__new__(cls)
+        for name, value in zip(cls.__slots__, values):
+            object.__setattr__(record, name, value)
+        return record
 
     def _check(self) -> None:
         """Validate the bound fields, raising DomainError; a subclass with

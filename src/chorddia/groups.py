@@ -91,14 +91,6 @@ class GroupElement(Record):
             raise DomainError("images must be a bijection on [0, size)")
 
     @classmethod
-    def _unchecked(cls, images: tuple[int, ...]) -> "GroupElement":
-        """An element on images that are a bijection by construction (the
-        closure composes only bijections), without checking it again."""
-        g = object.__new__(cls)
-        _set_images(g, images)
-        return g
-
-    @classmethod
     def identity(cls, size: int) -> "GroupElement":
         return cls(tuple(range(size)))
 
@@ -127,7 +119,7 @@ class GroupElement(Record):
         """self after other: (self * other)(v) = self(other(v))."""
         if self.size != other.size:
             raise DomainError("cannot compose elements of different sizes")
-        return GroupElement(tuple(self.images[w] for w in other.images))
+        return GroupElement._unchecked(tuple([self.images[w] for w in other.images]))
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
         return self.compose(other)
@@ -136,7 +128,7 @@ class GroupElement(Record):
         inv = [0] * self.size
         for v, w in enumerate(self.images):
             inv[w] = v
-        return GroupElement(tuple(inv))
+        return GroupElement._unchecked(tuple(inv))
 
     def order(self) -> int:
         return math.lcm(*(l for l, _ in cycle_type_of(self).parts)) if self.size else 1
@@ -145,13 +137,14 @@ class GroupElement(Record):
         return all(w == v for v, w in enumerate(self.images))
 
 
-# the images slot's own setter: a closure wraps every element it finds, and
-# this skips object.__setattr__'s attribute lookup
-_set_images = GroupElement.images.__set__
-
-
 class PermGroup(Record):
-    """A finite set of permutations of [0, size), closed under composition."""
+    """A finite set of permutations of [0, size), closed under composition.
+
+    The constructor checks that each element is listed once and that the
+    elements are closed, so that the Burnside class sum and the oracle's
+    orbit sizes count the orbits of a group: each element not yet reached
+    joins the generators, and their closure must stay inside the list.
+    """
 
     __slots__ = ("size", "elements")
     size: int
@@ -166,6 +159,19 @@ class PermGroup(Record):
             raise DomainError("group elements must be GroupElements")
         if not {size}.issuperset(map(len, map(attrgetter("images"), elements))):
             raise DomainError(f"every group element must act on the group's {size} points")
+        listed = set(map(attrgetter("images"), elements))
+        if len(listed) != len(elements):
+            raise DomainError("group elements must be distinct")
+        generators: list[tuple[int, ...]] = []
+        # the identity generates nothing, so it never joins the generators
+        reached = {tuple(range(size))}
+        for g in elements:
+            if g.images not in reached:
+                generators.append(g.images)
+                # stopped once it outgrows the list, so never past its size
+                reached = set(map(tuple, _closure_rows(generators, size, len(listed))))
+                if not reached <= listed:
+                    raise DomainError("group elements must be closed under composition")
 
     @property
     def order(self) -> int:
@@ -293,11 +299,12 @@ def make_standard_group(kind: str, points: int) -> PermGroup:
         )
     if kind not in STANDARD_GROUP_KINDS:
         raise DomainError(f"unknown group kind {kind!r}")
+    # the rotation and the reflection, on the points checked above
     generators = []
     if kind != "identity":
-        generators.append(GroupElement.rotation(points, 1))
+        generators.append(GroupElement._unchecked((*range(1, points), 0)))
     if kind == "dihedral":
-        generators.append(GroupElement.reflection(points, 0))
+        generators.append(GroupElement._unchecked((0, *range(points - 1, 0, -1))))
     return generate_group(generators, points)
 
 
@@ -314,10 +321,12 @@ def generate_group(generators: Sequence[GroupElement], points: int) -> PermGroup
     del rows
     for idx, images in enumerate(ordered):
         ordered[idx] = GroupElement._unchecked(tuple(images))
-    return PermGroup(points, tuple(ordered))
+    return PermGroup._unchecked(points, tuple(ordered))
 
 
-def _closure_rows(generators: Sequence[Sequence[int]], points: int) -> set:
+def _closure_rows(
+    generators: Sequence[Sequence[int]], points: int, most: int | None = None
+) -> set:
     """The image row of every element of the group that the generators,
     image rows of permutations of [0, points), generate: bytes up to 256
     points, tuples above, in no order. Always contains the identity's.
@@ -325,7 +334,9 @@ def _closure_rows(generators: Sequence[Sequence[int]], points: int) -> set:
     Raises ResourceLimitError once the rows found would store more than
     MAX_CLOSURE_ENTRIES image entries. This is the one bound: on 9 points
     or fewer no group passes it (9! * 9 < 10^7 entries), and on more it
-    allows at most 10^6 elements.
+    allows at most 10^6 elements. Given most, it stops instead as soon as
+    it has found more than most rows and returns them, so that PermGroup's
+    check of a list of most elements stops where the closure outgrows it.
     """
     for images in generators:
         if len(images) != points:
@@ -337,7 +348,7 @@ def _closure_rows(generators: Sequence[Sequence[int]], points: int) -> set:
     if points < 2:
         # the identity is the only permutation of 0 or 1 points
         return {bytes(range(points))}
-    limit = MAX_CLOSURE_ENTRIES // points
+    limit = MAX_CLOSURE_ENTRIES // points if most is None else most
     if points <= 256:
         # g * current: bytes.translate maps each entry through g's images in
         # C, and a bytes object caches its hash for the set
@@ -359,6 +370,8 @@ def _closure_rows(generators: Sequence[Sequence[int]], points: int) -> set:
             if nxt not in seen:
                 seen.add(nxt)
                 if len(seen) > limit:
+                    if most is not None:
+                        return seen
                     raise ResourceLimitError(_entries_message(points))
                 frontier.append(nxt)
     return seen

@@ -185,8 +185,7 @@ def _point_order(group: PermGroup) -> list[int]:
     seen = [False] * group.size
     for p in range(group.size):
         if not seen[p]:
-            # a point's orbit under a group is its set of images; a set
-            # that is not closed still gives each point once
+            # a point's orbit under a group is its set of images
             for q in sorted({p, *map(itemgetter(p), stabilizer)}):
                 if not seen[q]:
                     seen[q] = True
@@ -205,7 +204,7 @@ def _relabelled(group: PermGroup) -> PermGroup:
         sigma[p] = i
     rows = [g.images for g in group.elements]
     elements = [GroupElement._unchecked(tuple([sigma[img[p]] for p in order])) for img in rows]
-    return PermGroup(group.size, tuple(elements))
+    return PermGroup._unchecked(group.size, tuple(elements))
 
 
 def _resolve_threads(threads: int | None) -> int:

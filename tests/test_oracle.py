@@ -4,7 +4,6 @@ from hypothesis import strategies as st
 
 from chorddia import (
     ChordDiagram,
-    ConsistencyError,
     DomainError,
     GroupElement,
     PermGroup,
@@ -58,11 +57,11 @@ class TestOrbitCount:
 
     def test_set_that_is_not_closed_is_refused(self):
         # the identity, (0 1) and (2 3) without their product: minima fixed
-        # by one transposition would stand for orbits of 3 / 2 diagrams
+        # by one transposition would stand for orbits of 3 / 2 diagrams, so
+        # the constructor refuses the set before any count sees it
         images = [(0, 1, 2, 3, 4, 5), (1, 0, 2, 3, 4, 5), (0, 1, 3, 2, 4, 5)]
-        group = PermGroup(6, tuple(map(GroupElement.from_images, images)))
-        with pytest.raises(ConsistencyError, match="orbit size"):
-            orbit_count(3, group)
+        with pytest.raises(DomainError, match="closed under composition"):
+            PermGroup(6, tuple(map(GroupElement.from_images, images)))
 
     def test_matches_closed_forms(self, summaries):
         for n in range(1, 6):

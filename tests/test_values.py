@@ -1,6 +1,7 @@
 """The value types: immutable records that compare, hash, print and pickle
 by their fields, and validate what they are built from."""
 
+import json
 import pickle
 
 import pytest
@@ -16,6 +17,10 @@ from chorddia import (
     PermGroup,
     StrictSequences,
     WreathTypeDistribution,
+    make_standard_group,
+    orbit_count,
+    representatives,
+    wreath_cycle_type_distribution,
 )
 
 IDENTITY_2 = GroupElement((0, 1))
@@ -144,13 +149,19 @@ def test_pickle_round_trip(cls, fields, text):
         lambda: PermGroup(2, ((0, 1),)),
         lambda: PermGroup(2, [IDENTITY_2]),
         lambda: PermGroup(2.0, (IDENTITY_2,)),
+        # a set that is not closed under composition: the identity and a
+        # rotation of order 6, whose counts both read 8 where C_6 has 5
+        lambda: PermGroup(6, (GroupElement.identity(6), GroupElement.rotation(6, 1))),
+        # an element listed twice
+        lambda: PermGroup(2, (IDENTITY_2, SWAP_2, SWAP_2)),
     ],
     ids=["ct-unsorted", "ct-zero", "ct-duplicate", "ct-float", "ct-bool", "ct-whole-float",
          "ge-repeat", "ge-range",
          "cd-odd", "cd-fixed-point", "cd-not-involution", "ge-float", "ge-bool",
          "ge-str", "cd-float", "cd-bool", "fc-negative-size", "fc-float-size",
          "fc-bool-size", "fc-float-endpoint", "fc-bool-endpoint",
-         "pg-empty", "pg-other-size", "pg-not-element", "pg-list", "pg-float-size"],
+         "pg-empty", "pg-other-size", "pg-not-element", "pg-list", "pg-float-size",
+         "pg-not-closed", "pg-duplicate"],
 )
 def test_invalid_input_is_domain_error(build):
     with pytest.raises(DomainError):
@@ -178,6 +189,35 @@ def test_unpickling_validates_every_checked_type(value, old, new):
     assert data.count(old) == 1
     with pytest.raises(DomainError):
         pickle.loads(data.replace(old, new))
+
+
+def test_internal_builders_check_nothing(tmp_path, monkeypatch):
+    # a value derived from checked values is bound by Record._unchecked, so
+    # building groups, walking them and the wreath table check nothing again
+    from chorddia import cli, oracle
+    from chorddia.groups import STANDARD_GROUP_KINDS
+
+    path = tmp_path / "s4.json"
+    # S_4 on points 1..4 of 6
+    path.write_text(json.dumps({"points": 6, "elements": [[2, 1, 3, 4, 5, 6], [2, 3, 4, 1, 5, 6]]}))
+
+    def refuse(self):
+        raise AssertionError(f"a {type(self).__name__} was checked")
+
+    for cls in (GroupElement, PermGroup, CycleType):
+        monkeypatch.setattr(cls, "_check", refuse)
+    built = {kind: make_standard_group(kind, 6) for kind in STANDARD_GROUP_KINDS}
+    built["S_4"] = cli.load_group_file(str(path))
+    orbits = {"identity": 15, "cyclic": 5, "dihedral": 5, "S_4": 2}
+    for kind, group in built.items():
+        assert orbit_count(3, group).orbit_count == orbits[kind]
+        assert len(representatives(3, group)) == orbits[kind]
+        g, h = group.elements[-1], group.elements[len(group) // 2]
+        assert g.compose(g.inverse()).is_identity()
+        assert g.compose(h) in group.elements
+    relabelled = oracle._relabelled(built["dihedral"])
+    assert relabelled is not built["dihedral"] and relabelled.order == 12
+    assert wreath_cycle_type_distribution(6).total == 2**6 * 720
 
 
 @pytest.mark.parametrize("cls,fields,text", CASES, ids=IDS)
