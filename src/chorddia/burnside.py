@@ -11,7 +11,10 @@ every other point is fixed, and a cache keyed by them returns one
 CycleType per type. The CLI's count of a group file, _generated_count,
 makes the same split straight from the closure's image rows of the group
 its generators generate, so it builds no element, sorts nothing and holds
-no PermGroup.
+no PermGroup. It closes the group on its support, the points that some
+generator moves, under the closure's bound for all 2n points, since the
+other points are fixed points of every element and only pad the cycle
+type.
 
 The wreath class sum is a second, independent derivation of the same
 count. A perfect matching of [0, 2n) can be written as an n x 2 matrix of
@@ -35,7 +38,7 @@ from typing import Iterator, Mapping, Sequence
 
 from . import groups
 from .closed_forms import _class_sum
-from .errors import DomainError, Record, _require_int, exact_div
+from .errors import DomainError, Record, ResourceLimitError, _require_int, exact_div
 from .groups import CycleType, PermGroup, cycle_type_of
 
 
@@ -193,13 +196,25 @@ def _generated_count(n: int, generators: Sequence[Sequence[int]]) -> int:
     or PermGroup is built.
 
     The rows must be permutations of [0, 2n), as the CLI's group-file
-    reader checks them. Each closure row is keyed by the sorted lengths of
-    its cycles that move points, which with 2n fix its cycle type, and the
-    group order is the number of rows.
+    reader checks them. The group is closed on its support, the s points
+    that some generator moves, relabelled 0..s-1: every element fixes the
+    other points. Each closure row is keyed by the sorted lengths of its
+    cycles that move points, which with 2n fix its cycle type, and the
+    group order is the number of rows. The checks and the bound are the
+    closure's on 2n points, made before the support is read: at most
+    MAX_CLOSURE_ENTRIES // 2n rows, whatever s is.
     """
     _require_int(n, 1, "_generated_count requires n >= 1")
     points = 2 * n
-    rows = groups._closure_rows(generators, points)
+    groups._check_generators(generators, points)
+    most = groups.MAX_CLOSURE_ENTRIES // points
+    support = sorted({v for images in generators for v in range(points) if images[v] != v})
+    label = {v: i for i, v in enumerate(support)}
+    rows = groups._closure_rows(
+        [[label[images[v]] for v in support] for images in generators], len(support), most
+    )
+    if len(rows) > most:
+        raise ResourceLimitError(groups._entries_message(points))
     moved = Counter(map(groups._moved_lengths, rows))
     sizes = [(groups._cycle_type_of_moved(points, lengths).parts, size)
              for lengths, size in moved.items()]

@@ -5,16 +5,18 @@ displayed form is 1-based.
 
 A group is the closure of its generators. _closure_rows finds the image
 rows of its elements, as bytes up to 256 points and tuples above, under
-the one bound MAX_CLOSURE_ENTRIES; generate_group sorts them and wraps
-each in a GroupElement. A count that needs only cycle types reads the rows
-themselves: _moved_lengths walks a row's cycles that move points, and
-cycle_type_of types an element by the same walk.
+the one bound MAX_CLOSURE_ENTRIES, taking the generators one at a time
+and keeping only those it has not yet reached; generate_group sorts the
+rows and wraps each in a GroupElement. A count that needs only cycle
+types reads the rows themselves: _moved_lengths walks a row's cycles that
+move points, and cycle_type_of types an element by the same walk.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import islice
 from operator import attrgetter, itemgetter, methodcaller
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -142,8 +144,11 @@ class PermGroup(Record):
 
     The constructor checks that each element is listed once and that the
     elements are closed, so that the Burnside class sum and the oracle's
-    orbit sizes count the orbits of a group: each element not yet reached
-    joins the generators, and their closure must stay inside the list.
+    orbit sizes count the orbits of a group: the closure of every listed
+    element, which keeps only the ones it has not yet reached, must stay
+    inside the list. It compares rows in the closure's own encoding and
+    stops once the closure outgrows the list, so it takes about the
+    group order times log2 of it.
     """
 
     __slots__ = ("size", "elements")
@@ -159,19 +164,14 @@ class PermGroup(Record):
             raise DomainError("group elements must be GroupElements")
         if not {size}.issuperset(map(len, map(attrgetter("images"), elements))):
             raise DomainError(f"every group element must act on the group's {size} points")
-        listed = set(map(attrgetter("images"), elements))
-        if len(listed) != len(elements):
+        # the rows in the closure's own encoding, each one a generator: the
+        # closure stops once it outgrows the list, so never past its size
+        rows = list(map(_row_type(size), map(attrgetter("images"), elements)))
+        listed = set(rows)
+        if len(listed) != len(rows):
             raise DomainError("group elements must be distinct")
-        generators: list[tuple[int, ...]] = []
-        # the identity generates nothing, so it never joins the generators
-        reached = {tuple(range(size))}
-        for g in elements:
-            if g.images not in reached:
-                generators.append(g.images)
-                # stopped once it outgrows the list, so never past its size
-                reached = set(map(tuple, _closure_rows(generators, size, len(listed))))
-                if not reached <= listed:
-                    raise DomainError("group elements must be closed under composition")
+        if not _closure_rows(rows, size, len(rows)) <= listed:
+            raise DomainError("group elements must be closed under composition")
 
     @property
     def order(self) -> int:
@@ -329,15 +329,72 @@ def _closure_rows(
 ) -> set:
     """The image row of every element of the group that the generators,
     image rows of permutations of [0, points), generate: bytes up to 256
-    points, tuples above, in no order. Always contains the identity's.
+    points, tuples above (_row_type), in no order. Always contains the
+    identity's.
 
-    Raises ResourceLimitError once the rows found would store more than
+    The generators join one at a time, and one whose row is already
+    reached is skipped, so at most log2 of the group order are kept. The
+    rows reached form the group H of the kept generators, and a new
+    generator maps H onto a coset disjoint from it: each reached row is
+    multiplied by it once, and only the new rows then go through every
+    kept generator. The work is the group order times the kept
+    generators, not times the listed ones.
+
+    Raises ResourceLimitError once the rows found, or the rows reached and
+    a new generator's coset of them, would store more than
     MAX_CLOSURE_ENTRIES image entries. This is the one bound: on 9 points
     or fewer no group passes it (9! * 9 < 10^7 entries), and on more it
     allows at most 10^6 elements. Given most, it stops instead as soon as
     it has found more than most rows and returns them, so that PermGroup's
     check of a list of most elements stops where the closure outgrows it.
     """
+    _check_generators(generators, points)
+    if points < 2:
+        # the identity is the only permutation of 0 or 1 points
+        return {bytes(range(points))}
+    limit = MAX_CLOSURE_ENTRIES // points if most is None else most
+    encode = _row_type(points)
+    seen = {encode(range(points))}
+    steps = []
+    for images in generators:
+        row = encode(images)
+        if row in seen:
+            continue
+        if encode is bytes:
+            # g * current: bytes.translate maps each entry through g's
+            # images in C, and a bytes object caches its hash for the set
+            step = methodcaller("translate", row.ljust(256, b"\0"))
+        else:
+            # current * g picks current's entries at g's images
+            step = itemgetter(*row)
+        steps.append(step)
+        # the reached rows times row: a coset of as many new rows
+        coset = map(step, list(seen))
+        # the group holds both, so it outgrows the bound already
+        if 2 * len(seen) > limit:
+            if most is None:
+                raise ResourceLimitError(_entries_message(points))
+            seen.update(islice(coset, limit + 1 - len(seen)))
+            return seen
+        frontier = list(coset)
+        seen.update(frontier)
+        while frontier:
+            current = frontier.pop()
+            for step in steps:
+                nxt = step(current)
+                if nxt not in seen:
+                    seen.add(nxt)
+                    if len(seen) > limit:
+                        if most is not None:
+                            return seen
+                        raise ResourceLimitError(_entries_message(points))
+                    frontier.append(nxt)
+    return seen
+
+
+def _check_generators(generators: Sequence[Sequence[int]], points: int) -> None:
+    """The closure's checks of its input, made before it reads any row:
+    each generator has points entries, and points is within the bound."""
     for images in generators:
         if len(images) != points:
             raise DomainError(
@@ -345,36 +402,12 @@ def _closure_rows(
             )
     if points > MAX_CLOSURE_ENTRIES:
         raise ResourceLimitError(_entries_message(points))
-    if points < 2:
-        # the identity is the only permutation of 0 or 1 points
-        return {bytes(range(points))}
-    limit = MAX_CLOSURE_ENTRIES // points if most is None else most
-    if points <= 256:
-        # g * current: bytes.translate maps each entry through g's images in
-        # C, and a bytes object caches its hash for the set
-        identity: bytes | tuple[int, ...] = bytes(range(points))
-        steps = [
-            methodcaller("translate", bytes(images).ljust(256, b"\0"))
-            for images in generators
-        ]
-    else:
-        # current * g picks current's entries at g's images
-        identity = tuple(range(points))
-        steps = [itemgetter(*images) for images in generators]
-    seen = {identity}
-    frontier = [identity]
-    while frontier:
-        current = frontier.pop()
-        for step in steps:
-            nxt = step(current)
-            if nxt not in seen:
-                seen.add(nxt)
-                if len(seen) > limit:
-                    if most is not None:
-                        return seen
-                    raise ResourceLimitError(_entries_message(points))
-                frontier.append(nxt)
-    return seen
+
+
+def _row_type(points: int) -> type:
+    """How a closure on points points encodes a row: bytes up to 256
+    points, a tuple above."""
+    return bytes if points <= 256 else tuple
 
 
 def _entries_message(points: int) -> str:

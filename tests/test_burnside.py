@@ -5,7 +5,7 @@ from itertools import combinations, permutations, product
 from unittest.mock import patch
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from chorddia import groups
@@ -274,6 +274,23 @@ def test_three_derivations_agree_on_random_groups(group):
     assert all(group.order % size == 0 for size in hist)
 
 
+@st.composite
+def sparse_generators(draw, max_points=20, max_moved=6):
+    """Up to three random permutations, some of them the identity, of one
+    random set of at most max_moved of the points, as (points, image
+    lists): the set may be empty, and fixed points lie between its points."""
+    points = draw(st.sampled_from(range(2, max_points + 1, 2)))
+    moved = draw(st.lists(st.sampled_from(range(points)), unique=True, max_size=max_moved))
+    perms = st.one_of(st.just(moved), st.permutations(moved))
+    generators = []
+    for perm in draw(st.lists(perms, max_size=3)):
+        images = list(range(points))
+        for v, w in zip(moved, perm):
+            images[v] = w
+        generators.append(images)
+    return points, generators
+
+
 class TestGeneratedCount:
     """_generated_count, the CLI's Burnside count, reads the closure's rows
     and must agree with burnside_count of the closed group."""
@@ -286,6 +303,40 @@ class TestGeneratedCount:
         with patch.object(groups, "MAX_CLOSURE_ENTRIES", 2000 * points):
             got = burnside._generated_count(points // 2, images)
         assert got == burnside_count(points // 2, group)
+
+    @settings(max_examples=60, deadline=None)
+    @given(sparse_generators())
+    # no generator, and only the identity: both close on no point
+    @example((8, []))
+    @example((8, [list(range(8))]))
+    def test_matches_burnside_count_on_a_scattered_support(self, case):
+        points, images = case
+        n = points // 2
+        group = generate_group([GroupElement.from_images(p) for p in images], points)
+        got = burnside._generated_count(n, images)
+        assert got == burnside_count(n, group)
+        if n <= 5:
+            assert got == orbit_count(n, group).orbit_count
+
+    def test_closes_on_the_points_it_moves(self, monkeypatch):
+        # S_4 on points 1, 6, 10 and 13 of 16, from a transposition and a
+        # 4-cycle of them
+        swap, cycle = list(range(16)), list(range(16))
+        swap[1], swap[6] = 6, 1
+        for v, w in zip([1, 6, 10, 13], [6, 10, 13, 1]):
+            cycle[v] = w
+        expected = burnside_count(
+            8, generate_group([GroupElement.from_images(swap), GroupElement.from_images(cycle)], 16))
+        closure = groups._closure_rows
+        closed_on = []
+
+        def recording(generators, points, most=None):
+            closed_on.append(points)
+            return closure(generators, points, most)
+
+        monkeypatch.setattr(groups, "_closure_rows", recording)
+        assert burnside._generated_count(8, [swap, cycle]) == expected
+        assert closed_on == [4]
 
     # 256 points is the largest closure stored as bytes, 258 the smallest
     # as tuples
@@ -336,18 +387,10 @@ def test_class_sum_matches_whole_table_sum(group):
 
 @st.composite
 def sparse_groups(draw, max_points=20, max_moved=6):
-    """A group generated by up to three random permutations of one random
-    set of at most max_moved of the points, so that most elements fix most
-    points."""
-    points = draw(st.sampled_from(range(2, max_points + 1, 2)))
-    moved = draw(st.lists(st.sampled_from(range(points)), unique=True, max_size=max_moved))
-    generators = []
-    for perm in draw(st.lists(st.permutations(moved), max_size=3)):
-        images = list(range(points))
-        for v, w in zip(moved, perm):
-            images[v] = w
-        generators.append(GroupElement.from_images(images))
-    return generate_group(generators, points)
+    """The group that sparse_generators generate, so that most elements
+    fix most points."""
+    points, images = draw(sparse_generators(max_points, max_moved))
+    return generate_group([GroupElement.from_images(p) for p in images], points)
 
 
 def reference_cycle_type(g):

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import xml.etree.ElementTree as ET
 from contextlib import contextmanager
+from itertools import permutations
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -193,6 +194,23 @@ class TestCount:
         monkeypatch.setattr(groups.GroupElement, "_check", refuse)
         assert run(["count", "--n", str(points // 2), "--group-file", str(path)]) == 0
         assert capsys.readouterr().out == f"{expected}\n"
+
+    def test_group_file_listing_all_of_s8_counts_in_seconds(self, tmp_path):
+        # every element of S_8 on points 1..8 of 16 (2.3 MB): a closure that
+        # composed each row with every listed element took over 6 minutes
+        path = tmp_path / "s8-all.json"
+        elements = [[*perm, *range(9, 17)] for perm in permutations(range(1, 9))]
+        path.write_text(json.dumps({"points": 16, "elements": elements}))
+
+        def limit_cpu():
+            resource.setrlimit(resource.RLIMIT_CPU, (30, 30))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "chorddia", "count", "--n", "8", "--group-file", str(path)],
+            capture_output=True, text=True, env=child_env(), preexec_fn=limit_cpu,
+            timeout=120,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "764\n", "")
 
     @pytest.mark.parametrize("source", ["identity", "empty-file"])
     def test_huge_burnside_count_exits_before_any_work(self, tmp_path, source):

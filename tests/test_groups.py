@@ -439,6 +439,26 @@ def test_closure_either_side_of_the_bytes_encoding(monkeypatch, points, seed):
         generate_group(gens, points)
 
 
+@pytest.mark.parametrize(
+    "points, generators",
+    [
+        # S_5 from (0 1) and (0 1 2 3 4)
+        (5, [(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)]),
+        # D_12 from the rotation and the reflection
+        (12, [GroupElement.rotation(12, 1).images, GroupElement.reflection(12, 0).images]),
+    ],
+    ids=["S_5", "D_12"],
+)
+def test_closure_of_every_element_listed(points, generators):
+    # a generator already reached is skipped, so listing the whole group in
+    # any order gives the closure of its two generators
+    rows = groups._closure_rows(generators, points)
+    listed = sorted(map(tuple, rows))
+    random.Random(points).shuffle(listed)
+    assert groups._closure_rows(listed, points) == rows
+    assert len(rows) == {5: 120, 12: 24}[points]
+
+
 @settings(max_examples=150, deadline=None)
 @given(permutations_up_to_8)
 def test_cycle_type_matches_orbit_lengths(images):
